@@ -78,5 +78,16 @@ class MachineError(ReproError):
     """The virtual multicomputer was misconfigured or misused."""
 
 
+class WorkerError(MachineError):
+    """A parallel-backend worker process died or its pipe broke.
+
+    ``shard`` is the id of the worker that failed.
+    """
+
+    def __init__(self, message: str, shard: int | None = None):
+        self.shard = shard
+        super().__init__(message)
+
+
 class TopologyError(MachineError):
     """An interconnect topology was asked for an impossible configuration."""

@@ -23,11 +23,21 @@ from repro.errors import DeadlockError, StrandError
 from repro.machine.simulator import Machine
 from repro.strand.terms import Struct, Var, deref
 
-__all__ = ["Process", "Scheduler", "RUNNABLE", "SUSPENDED", "DONE"]
+__all__ = ["Process", "Scheduler", "RUNNABLE", "SUSPENDED", "DONE",
+           "reduction_limit_error"]
 
 RUNNABLE = 0
 SUSPENDED = 1
 DONE = 2
+
+
+def reduction_limit_error(max_reductions: int) -> StrandError:
+    """The error a run raises once it attempts more than ``max_reductions``
+    reductions (shared by the sequential and parallel backends)."""
+    return StrandError(
+        f"reduction budget of {max_reductions} exhausted "
+        f"(possible runaway recursion)"
+    )
 
 
 class Process:
@@ -232,7 +242,8 @@ class Scheduler:
                 best = t
         return best
 
-    def drain(self, execute: Callable, horizon: float | None = None) -> float | None:
+    def drain(self, execute: Callable, horizon: float | None = None,
+              epoch_reductions: int | None = None) -> float | None:
         """Process timers and events in virtual-time order.
 
         With ``horizon=None`` (sequential operation) the loop runs until
@@ -241,7 +252,18 @@ class Scheduler:
         place and the earliest such pending time is returned — the caller
         barriers there, exchanges cross-shard messages, and resumes with a
         later horizon.  Returns ``None`` once nothing is pending.
+
+        ``epoch_reductions`` (parallel workers only) ends the call after
+        that many reduction attempts: the next runnable process is put back
+        unreduced and its time returned.  The stop shares the
+        ``reduction_budget`` decrement-and-compare with the runaway check —
+        only the floor moves — so the sequential loop does no extra work.
+        In this mode the call never raises for the budget; the parallel
+        coordinator enforces ``max_reductions`` across all workers.
         """
+        floor = 0
+        if epoch_reductions is not None:
+            floor = self.reduction_budget - epoch_reductions
         machine = self.machine
         procs = machine.procs
         events = self.events
@@ -278,11 +300,12 @@ class Scheduler:
                 self.schedule_from_queue(pnum)
                 continue
             self.reduction_budget -= 1
-            if self.reduction_budget < 0:
-                raise StrandError(
-                    f"reduction budget of {self.max_reductions} exhausted "
-                    f"(possible runaway recursion)"
-                )
+            if self.reduction_budget < floor:
+                if epoch_reductions is None:
+                    raise reduction_limit_error(self.max_reductions)
+                self.reduction_budget += 1
+                self.push(process)
+                return actual
             cost = execute(process, actual)
             if cost is None:
                 self.schedule_from_queue(pnum)

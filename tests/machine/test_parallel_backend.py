@@ -8,18 +8,27 @@ Virtual-time metrics and trace interleavings are allowed to differ — the
 shards advance their clocks independently between epoch barriers.
 """
 
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 from repro.errors import (
     DeadlockError,
     DoubleAssignmentError,
     MachineError,
+    StrandError,
+    WorkerError,
 )
-from repro.machine import Machine
+from repro.machine import Machine, parallel
 from repro.machine.faults import FaultPlan
-from repro.machine.parallel import shard_of
+from repro.machine.parallel import EPOCH_REDUCTIONS, shard_of
 from repro.machine.profile import MotifProfile
 from repro.strand import parse_program, run_query
+from repro.strand.foreign import ForeignRegistry
 
 SPREAD = """
 go(N, Out) :- spread(N, Out).
@@ -208,3 +217,179 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "Out = [36, 25, 16, 9, 4, 1]" == out.strip().splitlines()[-1]
+
+
+def fresh_pool():
+    """Drop the cached worker pool so the next run starts a new one."""
+    parallel._shutdown_idle_pool()
+
+
+def idle_pids():
+    return [proc.pid for proc in parallel._idle_pool.procs]
+
+
+def outcome(result):
+    return (result.value("Out"), result.metrics.reductions,
+            result.metrics.sends)
+
+
+class TestPoolReuse:
+    def test_reused_pool_matches_fresh_pool(self):
+        def spread():
+            return run_spread(Machine(4, seed=7, backend="parallel",
+                                      workers=2))
+
+        def fan():
+            return run_fan(Machine(3, seed=5, backend="parallel", workers=2))
+
+        fresh = []
+        for run in (spread, fan):
+            fresh_pool()
+            fresh.append(outcome(run()))
+        fresh_pool()
+        reused = [outcome(run()) for run in (spread, fan, spread)]
+        assert reused == [fresh[0], fresh[1], fresh[0]]
+
+    def test_traced_run_after_untraced_run(self):
+        def traced():
+            machine = Machine(3, seed=1, backend="parallel", workers=2,
+                              trace=True)
+            run_fan(machine, n=6)
+            return list(machine.trace.events)
+
+        fresh_pool()
+        expected = traced()
+        fresh_pool()
+        run_fan(Machine(3, seed=1, backend="parallel", workers=2), n=6)
+        assert traced() == expected
+
+    def test_consecutive_runs_share_workers(self):
+        run_spread(Machine(4, seed=7, backend="parallel", workers=2))
+        first = idle_pids()
+        run_spread(Machine(4, seed=7, backend="parallel", workers=2))
+        assert idle_pids() == first
+
+    def test_worker_count_change_replaces_pool(self):
+        run_spread(Machine(4, seed=7, backend="parallel", workers=2))
+        assert len(idle_pids()) == 2
+        run_spread(Machine(4, seed=7, backend="parallel", workers=3))
+        assert len(idle_pids()) == 3
+
+    def test_exiting_process_leaves_no_workers(self, tmp_path):
+        script = tmp_path / "one_query.py"
+        script.write_text(textwrap.dedent("""
+            from repro.machine import Machine, parallel
+            from repro.strand import parse_program, run_query
+
+            if __name__ == "__main__":
+                program = parse_program("go(X, Y) :- X := 1, y(Y) @ 2.\\n"
+                                        "y(Y) :- Y := 2.\\n")
+                result = run_query(program, "go(X, Y)",
+                                   machine=Machine(2, backend="parallel",
+                                                   workers=2))
+                assert (result.value("X"), result.value("Y")) == (1, 2)
+                print(*(proc.pid for proc in parallel._idle_pool.procs))
+        """))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run([sys.executable, str(script)], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        pids = [int(pid) for pid in done.stdout.split()]
+        assert len(pids) == 2
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+
+def die_in_worker(_x):
+    os._exit(7)
+
+
+class TestWorkerFailure:
+    def test_killed_idle_worker(self):
+        fresh_pool()
+        run_spread(Machine(4, seed=7, backend="parallel", workers=2))
+        victim = idle_pids()[1]
+        os.kill(victim, signal.SIGKILL)
+        try:
+            value = run_spread(Machine(4, seed=7, backend="parallel",
+                                       workers=2)).value("Out")
+        except WorkerError as exc:
+            assert "worker 1" in str(exc)
+        else:
+            assert value == run_spread(Machine(4, seed=7)).value("Out")
+        # Either way the next run is served by a healthy pool.
+        result = run_spread(Machine(4, seed=7, backend="parallel", workers=2))
+        assert result.value("Out") == run_spread(Machine(4, seed=7)).value("Out")
+        assert victim not in idle_pids()
+
+    def test_worker_death_mid_run_is_typed(self):
+        foreign = ForeignRegistry()
+        foreign.register("die", 2, die_in_worker)
+        program = parse_program("go(Y) :- die(1, Y) @ 2.")
+        with pytest.raises(WorkerError, match="worker 1") as info:
+            run_query(program, "go(Y)", foreign=foreign,
+                      machine=Machine(2, backend="parallel", workers=2))
+        assert info.value.shard == 1
+        assert parallel._idle_pool is None  # the broken pool was dropped
+        result = run_spread(Machine(4, seed=7, backend="parallel", workers=2))
+        assert result.value("Out") == run_spread(Machine(4, seed=7)).value("Out")
+
+
+RUNAWAY = """
+go :- loop(0) @ 1, loop(0) @ 2.
+loop(N) :- N1 := N + 1, loop(N1).
+"""
+
+
+COUNTDOWNS = """
+go :- loop(3000) @ 1, loop(3000) @ 2.
+loop(0).
+loop(N) :- N > 0 | N1 := N - 1, loop(N1).
+"""
+
+
+class TestGlobalReductionLimit:
+    LIMIT = 20_000
+
+    def test_sequential_message(self):
+        with pytest.raises(StrandError, match=f"reduction budget of "
+                           f"{self.LIMIT} exhausted"):
+            run_query(parse_program(RUNAWAY), "go", machine=Machine(2),
+                      max_reductions=self.LIMIT)
+
+    def test_runaway_split_across_workers(self, monkeypatch):
+        counts = []
+        command = parallel._WorkerPool.command
+
+        def recording(pool, targets, cmd, payloads):
+            replies = command(pool, targets, cmd, payloads)
+            if cmd == "epoch":
+                counts.append({w: reply[2]
+                               for w, reply in zip(targets, replies)})
+            return replies
+
+        monkeypatch.setattr(parallel._WorkerPool, "command", recording)
+        with pytest.raises(StrandError) as info:
+            run_query(parse_program(RUNAWAY), "go",
+                      machine=Machine(2, backend="parallel", workers=2),
+                      max_reductions=self.LIMIT)
+        assert str(info.value) == (f"reduction budget of {self.LIMIT} "
+                                   "exhausted (possible runaway recursion)")
+        latest: dict = {}
+        for reply in counts:
+            latest.update(reply)
+        assert set(latest) == {0, 1}  # both workers ran the loop
+        total = sum(latest.values())
+        assert self.LIMIT < total <= self.LIMIT + EPOCH_REDUCTIONS
+
+    def test_limit_is_not_per_worker(self):
+        # Each shard's loop fits under the limit; the two together do not.
+        program = parse_program(COUNTDOWNS)
+        for options in ({}, {"backend": "parallel", "workers": 2}):
+            with pytest.raises(StrandError, match="reduction budget"):
+                run_query(program, "go", machine=Machine(2, **options),
+                          max_reductions=9_000)
+            result = run_query(program, "go", machine=Machine(2, **options),
+                               max_reductions=20_000)
+            assert result.metrics.reductions > 9_000
