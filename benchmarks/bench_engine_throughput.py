@@ -5,14 +5,27 @@ the Figure-1 rendezvous (suspension-heavy), the Eratosthenes sieve
 (process-chain-heavy), a multi-processor tree reduction (scheduler- and
 message-heavy), and a 64-way multi-rule dispatch loop (rule-selection-heavy,
 run both with first-argument indexing and with the linear-scan ablation) —
-so engine regressions show up in CI.  The dispatch comparison is written to
-``benchmarks/BENCH_engine_throughput.json`` for the record.
+so engine regressions show up in CI.
+
+The record, ``benchmarks/BENCH_engine_throughput.json``, holds one entry
+per label: reductions/s for all four shapes (dispatch both indexed and
+linear), with the host's ``cpu_count``, the Python version and the git sha
+of the runtime measured.  The pytest run writes the ``current`` entry and
+keeps the others; to record a baseline on the same host, run this file as a
+script against another checkout's sources::
+
+    PYTHONPATH=<other checkout>/src python benchmarks/bench_engine_throughput.py --label before
 """
 
+import argparse
 import json
+import os
+import platform
+import subprocess
 import time
 from pathlib import Path
 
+import repro
 from repro.analysis import Table
 from repro.apps.arithmetic import arithmetic_tree, eval_arith_node
 from repro.core.api import reduce_tree
@@ -95,45 +108,96 @@ def test_engine_throughput(emit, benchmark):
     benchmark(run_sieve)
 
 
-def test_dispatch_indexing_speedup(emit):
-    """First-argument indexing vs. the linear-scan ablation on the 64-way
-    dispatch loop; results recorded in BENCH_engine_throughput.json."""
-    # Warm up both compile-cache slots so neither run pays compilation.
+def _git_sha() -> str | None:
+    """The commit of the checkout the measured ``repro`` was imported from
+    (``-dirty`` when its working tree has uncommitted changes)."""
+    try:
+        out = subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=7"],
+                             cwd=Path(repro.__file__).parent, capture_output=True,
+                             text=True, timeout=10)
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return out.stdout.strip() or None
+
+
+def measure(repeats: int = 3) -> dict:
+    """Best-of-``repeats`` reductions/s for every shape, plus host metadata."""
+    # Warm up the compile caches so no measured run pays compilation.
     run_dispatch(True)
     run_dispatch(False)
+    shapes = {
+        "figure1": run_figure1,
+        "sieve": run_sieve,
+        "tree_reduce_p8": run_tree,
+        "dispatch_indexed": lambda: run_dispatch(True),
+        "dispatch_linear": lambda: run_dispatch(False),
+    }
+    reductions, rates = {}, {}
+    for name, runner in shapes.items():
+        runner()
+        best = 0.0
+        for _ in range(repeats):
+            metrics, dt = _timed(runner)
+            best = max(best, metrics.reductions / dt)
+        reductions[name] = metrics.reductions
+        rates[name] = round(best, 1)
+    return {
+        "host": {"cpu_count": os.cpu_count(), "python": platform.python_version(),
+                 "git_sha": _git_sha()},
+        "reductions": reductions,
+        "reductions_per_sec": rates,
+        "dispatch_speedup": round(rates["dispatch_indexed"] / rates["dispatch_linear"], 3),
+    }
 
-    rates = {}
-    reductions = {}
+
+def record(label: str, entry: dict) -> None:
+    """Store ``entry`` under ``label`` in the JSON record, keeping the rest."""
+    try:
+        data = json.loads(JSON_PATH.read_text())
+    except (OSError, ValueError):
+        data = {}
+    runs = data.get("runs", {})
+    runs[label] = entry
+    JSON_PATH.write_text(json.dumps({"benchmark": "engine_throughput", "runs": runs},
+                                    indent=2) + "\n")
+
+
+def test_dispatch_indexing_speedup(emit):
+    """First-argument indexing vs. the linear-scan ablation on the 64-way
+    dispatch loop, and every shape's rate, recorded in the JSON."""
+    entry = measure()
+    rates, reductions = entry["reductions_per_sec"], entry["reductions"]
     table = Table(
         f"multi-rule dispatch (K={_DISPATCH_K}, indexed vs linear)",
         ["rule selection", "reductions", "seconds", "reductions/s"],
     )
-    for label, indexing in (("indexed", True), ("linear", False)):
-        best = 0.0
-        for _ in range(3):
-            metrics, dt = _timed(run_dispatch, indexing)
-            best = max(best, metrics.reductions / dt)
-            reductions[label] = metrics.reductions
-        rates[label] = best
-        table.add(label, reductions[label],
-                  reductions[label] / best, best)
-    speedup = rates["indexed"] / rates["linear"]
+    for label in ("indexed", "linear"):
+        key = f"dispatch_{label}"
+        table.add(label, reductions[key], reductions[key] / rates[key], rates[key])
+    speedup = entry["dispatch_speedup"]
     table.add("speedup", "", "", f"{speedup:.2f}x")
     emit(table)
 
     # Identical semantics: the ablation changes time, never the reductions.
-    assert reductions["indexed"] == reductions["linear"]
-
-    JSON_PATH.write_text(json.dumps({
-        "benchmark": "engine_throughput.dispatch",
-        "workload": f"go(10000), K={_DISPATCH_K} dispatch rules",
-        "reductions": reductions["indexed"],
-        "indexed_reductions_per_sec": round(rates["indexed"], 1),
-        "linear_reductions_per_sec": round(rates["linear"], 1),
-        "speedup": round(speedup, 3),
-    }, indent=2) + "\n")
+    assert reductions["dispatch_indexed"] == reductions["dispatch_linear"]
+    record("current", entry)
 
     # The acceptance bar for this optimisation is 1.5x over the seed's
     # linear interpreter; measured headroom is well above this conservative
     # in-tree guard (which only compares against the compiled linear scan).
     assert speedup > 1.2, f"indexing speedup collapsed: {speedup:.2f}x"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Record engine throughput.")
+    parser.add_argument("--label", default="current")
+    parser.add_argument("--repeats", type=int, default=3)
+    args = parser.parse_args(argv)
+    entry = measure(args.repeats)
+    record(args.label, entry)
+    print(json.dumps(entry, indent=2))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

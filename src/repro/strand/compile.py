@@ -1,22 +1,44 @@
 """The compile layer between :class:`Program` and the runtime.
 
 The paper's pitch is that a motif's output "is itself a program" cheap
-enough to run everywhere (§2.1).  The seed interpreter took that literally:
-every reduction re-scanned the procedure's rule list, re-dispatched on the
-shape of every head pattern, and rebuilt every body goal by interpreting the
-rule term.  This module inserts the compile/link stage that skeleton systems
-in the related literature all have: a :class:`CompiledProgram` is built once
-per :class:`Program` (cached against the program's version stamp) and the
+enough to run everywhere (§2.1).  This module lowers that program all the
+way to Python: a :class:`CompiledProgram` is built once per
+:class:`Program` (cached against the program's version stamp), and the
 scheduler/reducer core consumes only the compiled form.
 
-Three things are precompiled per rule:
+**One generated function per rule.**  Each rule becomes Python source for a
+function ``rule(args, blocked)`` that destructures the head, checks the
+guards and builds the body goals as straight-line code, with rule
+variables held as Python locals.  It returns the tuple of body goals when
+the rule commits and ``None`` otherwise; when the head or a guard waits on
+an unbound caller variable it appends that variable to ``blocked`` (see
+:class:`_Lowering` for the exact protocol).  The source of the
+``sift([P | Xs], Ps)`` rule of ``examples/strand/sieve.str`` reads::
 
-* **head-match plans** — each head argument pattern becomes a closure tree
-  built once, so matching does no per-reduction dispatch on pattern shape;
-* **guard plans** — each guard becomes a closure over the match environment
-  (comparisons, type tests, ``==``/``\\==``, ``known``, ``otherwise``);
-* **body templates** — each body goal becomes a builder closure replacing
-  the interpretive ``instantiate`` walk (ground subterms are shared).
+    def rule(args, blocked, k0, k1, k2, k3, k4):
+        t1, v0 = args
+        while type(t1) is Var:
+            if t1.ref is _U:
+                blocked.append(t1)
+                return None
+            t1 = t1.ref
+        if type(t1) is not Cons:
+            return None
+        v1, v2 = t1.head, t1.tail
+        v3 = Var(k0)
+        v4 = Var(k2)
+        return (Struct(k1, (v0, Cons(v1, v3))), Struct(k3, (v1, v2, v4)),
+                Struct(k4, (v4, v3)))
+
+**A shape-keyed code cache.**  Every constant, functor name and variable
+name is a trailing parameter ``k<i>`` whose default the rule's function is
+built with, so the source depends only on the rule's *shape*.  Code objects
+are cached by source in a bounded LRU cache (:data:`CODE_CACHE_SIZE`
+shapes): re-linked library rules and application rules that differ only in
+constants compile once.  Each rule's source is shown by
+:attr:`CompiledRule.source` for debugging.  The interpretive matcher this
+replaced lives on in ``tests/strand/oracle.py`` as the reference the
+generated code is checked against.
 
 Per procedure, rules are bucketed by **first-argument principal functor**
 (order-preserving first-argument indexing).  Committed choice must commit on
@@ -34,17 +56,14 @@ complexity accounting consume it instead of re-deriving their own maps.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from types import CodeType, FunctionType
 from typing import Any, Callable
 
+from repro.errors import StrandError
 from repro.strand.arith import ArithFail, Suspend, eval_arith
-from repro.strand.match import (
-    GUARD_TESTS,
-    _COMPARISONS,
-    _ground_equal,
-    _match_values,
-)
 from repro.strand.program import Procedure, Program, Rule
-from repro.strand.terms import Atom, Cons, Struct, Term, Tup, Var, deref
+from repro.strand.terms import _UNBOUND, NIL, Atom, Cons, Struct, Term, Tup, Var, deref
 
 __all__ = [
     "SymbolTable",
@@ -53,6 +72,8 @@ __all__ = [
     "CompiledProcedure",
     "CompiledProgram",
     "compile_program",
+    "CODE_CACHE_SIZE",
+    "GUARD_TESTS",
     "COMPILE_STATS",
     "reset_compile_stats",
 ]
@@ -170,251 +191,533 @@ def symbol_table(program: Program) -> SymbolTable:
 
 
 # ---------------------------------------------------------------------------
-# Template compilation (body/guard instantiation plans)
+# Matching helpers (shared with the reference matcher in the tests)
 # ---------------------------------------------------------------------------
 
-def _term_is_shareable(term: Term) -> bool:
-    """Ground and free of mutable cells (``Tup`` is mutated by put_arg)."""
-    stack = [term]
+def _match_values(a: Term, b: Term, blocked: list[Var]) -> bool:
+    """Compare two caller-side terms for the non-linear-head case; unbound
+    variables block unless identical.  Iterative for deep-list safety."""
+    stack = [(a, b)]
     while stack:
-        t = deref(stack.pop())
-        tt = type(t)
-        if tt is Var or tt is Tup:
+        a, b = stack.pop()
+        a, b = deref(a), deref(b)
+        if a is b:
+            continue
+        ta, tb = type(a), type(b)
+        if ta is Var:
+            blocked.append(a)
+            continue
+        if tb is Var:
+            blocked.append(b)
+            continue
+        if ta is Cons and tb is Cons:
+            stack.append((a.tail, b.tail))
+            stack.append((a.head, b.head))
+        elif ta is Struct and tb is Struct:
+            if a.functor != b.functor or len(a.args) != len(b.args):
+                return False
+            stack.extend(zip(reversed(a.args), reversed(b.args)))
+        elif ta is Tup and tb is Tup:
+            if len(a.args) != len(b.args):
+                return False
+            stack.extend(zip(reversed(a.args), reversed(b.args)))
+        elif isinstance(a, (int, float)) and isinstance(b, (int, float)):
+            if a != b:
+                return False
+        elif not (a == b if ta is tb else False):
             return False
-        if tt is Struct:
-            stack.extend(t.args)
-        elif tt is Cons:
-            stack.append(t.tail)
-            stack.append(t.head)
     return True
 
 
-def compile_template(term: Term) -> Callable[[dict, dict], Term]:
-    """Compile a rule term into a builder ``build(env, fresh) -> Term``.
+def _ground_equal(a: Term, b: Term, blocked: list[Var]) -> tuple[bool, bool]:
+    """(decided?, equal?) for structural equality; suspends on unbound
+    variables unless identity already decides.
 
-    Semantics mirror :func:`repro.strand.match.instantiate`: rule variables
-    become their matched values; unmatched rule variables become fresh
-    variables shared (via ``fresh``/``env``) across the rule's goals.
+    Nested unbound vars inside structures make the comparison undecided only
+    if the decided parts are equal so far; term_eq treats distinct unbound
+    vars as unequal, so do a cautious walk instead — iterative (left-to-right
+    DFS over a pair stack) so deep lists cannot blow the interpreter stack.
+    The first pair that is not definitely-equal settles the verdict.
     """
-    term = deref(term)
-    t = type(term)
-    if t is Var:
-        key = id(term)
-        name = term.name
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        a, b = deref(a), deref(b)
+        if a is b:
+            continue
+        if type(a) is Var:
+            blocked.append(a)
+            return False, False
+        if type(b) is Var:
+            blocked.append(b)
+            return False, False
+        ta, tb = type(a), type(b)
+        if ta is Struct and tb is Struct:
+            if a.functor != b.functor or len(a.args) != len(b.args):
+                return True, False
+            stack.extend(zip(reversed(a.args), reversed(b.args)))
+        elif ta is Cons and tb is Cons:
+            stack.append((a.tail, b.tail))
+            stack.append((a.head, b.head))
+        elif ta is Tup and tb is Tup:
+            if len(a.args) != len(b.args):
+                return True, False
+            stack.extend(zip(reversed(a.args), reversed(b.args)))
+        elif isinstance(a, (int, float)) and isinstance(b, (int, float)):
+            if a != b:
+                return True, False
+        elif ta is not tb:
+            return True, False
+        elif a != b:
+            return True, False
+    return True, True
 
-        def build_var(env: dict, fresh: dict) -> Term:
-            bound = env.get(key)
-            if bound is not None:
-                return bound
-            var = fresh.get(key)
-            if var is None:
-                var = Var(name)
-                fresh[key] = var
-                env[key] = var
-            return var
 
-        return build_var
-    if t is Struct:
-        if _term_is_shareable(term):
-            return lambda env, fresh: term
-        functor = term.functor
-        subs = tuple(compile_template(a) for a in term.args)
-        return lambda env, fresh: Struct(functor, [s(env, fresh) for s in subs])
-    if t is Tup:
-        subs = tuple(compile_template(a) for a in term.args)
-        return lambda env, fresh: Tup([s(env, fresh) for s in subs])
-    if t is Cons:
-        if _term_is_shareable(term):
-            return lambda env, fresh: term
-        head = compile_template(term.head)
-        tail = compile_template(term.tail)
-        return lambda env, fresh: Cons(head(env, fresh), tail(env, fresh))
-    # Atoms, numbers, strings are immutable — share.
-    return lambda env, fresh: term
+def _test_integer(t: Term) -> bool:
+    return type(t) is int
+
+
+def _test_number(t: Term) -> bool:
+    return type(t) is int or type(t) is float
+
+
+def _test_float(t: Term) -> bool:
+    return type(t) is float
+
+
+def _test_atom(t: Term) -> bool:
+    return type(t) is Atom
+
+
+def _test_string(t: Term) -> bool:
+    return type(t) is str
+
+
+def _test_list(t: Term) -> bool:
+    return type(t) is Cons or t is NIL
+
+
+def _test_tuple(t: Term) -> bool:
+    return type(t) is Tup
+
+
+#: Type-test guards: ``name -> predicate over the dereffed, bound argument``.
+GUARD_TESTS: dict[str, Callable[[Term], bool]] = {
+    "integer": _test_integer,
+    "number": _test_number,
+    "float": _test_float,
+    "atom": _test_atom,
+    "string": _test_string,
+    "list": _test_list,
+    "tuple": _test_tuple,
+}
+
+#: Arithmetic comparison guards: Strand operator -> Python operator.
+_COMPARISONS = {
+    "<": "<",
+    ">": ">",
+    "=<": "<=",
+    ">=": ">=",
+    "=\\=": "!=",
+    "=:=": "==",
+}
 
 
 # ---------------------------------------------------------------------------
-# Head-match plans
+# Rule lowering: one generated Python function per rule
 # ---------------------------------------------------------------------------
 
-def compile_pattern(pattern: Term) -> Callable[[Term, dict, list], bool]:
-    """Compile one head-argument pattern into ``m(arg, env, blocked)``.
+#: Head sub-patterns become nested ``if`` blocks, and CPython accepts at
+#: most 100 levels of indentation; heads nested deeper are rejected.
+MAX_HEAD_DEPTH = 64
 
-    Returns ``False`` on definite mismatch; appends to ``blocked`` (and
-    returns ``True``) when an unbound caller variable defers the decision —
-    the same three-valued protocol as :func:`repro.strand.match.match_head`.
+#: Body structures nest as Python expressions, which CPython's parser
+#: limits; every this many levels the lowering binds one to a local.
+_SPILL_DEPTH = 32
+
+#: Bound on the shape-keyed code cache: the number of distinct rule shapes
+#: whose code object is kept.  The four repository benchmark workloads
+#: together use under a hundred shapes; eviction only re-pays one
+#: ``compile`` of a small function.
+CODE_CACHE_SIZE = 1024
+
+_RULE_GLOBALS = {
+    "Var": Var,
+    "Struct": Struct,
+    "Cons": Cons,
+    "Tup": Tup,
+    "_U": _UNBOUND,
+    "Suspend": Suspend,
+    "ArithFail": ArithFail,
+    "eval_arith": eval_arith,
+    "_match_values": _match_values,
+    "_ground_equal": _ground_equal,
+}
+
+
+@lru_cache(maxsize=CODE_CACHE_SIZE)
+def _rule_code(source: str) -> CodeType:
+    """The code object of the rule function defined by ``source``,
+    compiled once per distinct rule shape."""
+    module = compile(source, "<strand rule>", "exec")
+    return next(c for c in module.co_consts if isinstance(c, CodeType))
+
+
+def _tuple_src(items: list[str]) -> str:
+    return items[0] + "," if len(items) == 1 else ", ".join(items)
+
+
+def _var_uses(*terms: Term) -> dict[int, int]:
+    """Occurrences of each variable in ``terms``, keyed by ``id``; the
+    key ``None`` counts the non-variable nodes."""
+    uses: dict[int | None, int] = {None: 0}
+    stack = list(terms)
+    while stack:
+        t = stack.pop()
+        while type(t) is Var and t.ref is not _UNBOUND:
+            t = t.ref
+        tt = type(t)
+        key = id(t) if tt is Var else None
+        uses[key] = uses.get(key, 0) + 1
+        if tt is Struct or tt is Tup:
+            stack.extend(t.args)
+        elif tt is Cons:
+            stack.append(t.head)
+            stack.append(t.tail)
+    return uses
+
+
+class _Lowering:
+    """Lower one rule to the source of its function
+    ``rule(args, blocked, k0, k1, ...)`` plus the constants ``k0, k1, ...``
+    it is built with.
+
+    The rule function matches the head, checks the
+    guards and builds the body as straight-line code.  It returns the tuple
+    of body goals on commit and ``None`` otherwise.  The protocol is the
+    interpretive matcher's, step for step:
+
+    * head sub-patterns are matched depth-first, left to right; an unbound
+      caller variable where a pattern needs a value is a *blocker* and the
+      sub-pattern below it is skipped;
+    * a definite failure returns ``None`` and discards the rule's own
+      blockers; otherwise blockers go to ``blocked`` and the rule returns
+      ``None`` at the end of the head, or at the end of the guards;
+    * a phase with a single blocking site appends to ``blocked`` directly,
+      since nothing after it could discard the blocker; otherwise blockers
+      collect in a per-call list ``rb``.
+
+    Rule variables are the locals ``v0, v1, ...``.  Fresh variables are
+    created by one statement each, in the order the guards and body are
+    read; structures are built by nested expressions.  Every constant,
+    functor name and variable name is a ``k`` parameter, so the source
+    depends only on the rule's shape.
     """
-    pattern = deref(pattern)
-    pt = type(pattern)
-    if pt is Var:
-        key = id(pattern)
 
-        def match_var(arg: Term, env: dict, blocked: list) -> bool:
-            bound = env.get(key)
-            if bound is None:
-                env[key] = arg
-                return True
-            # Non-linear head: both occurrences must agree.
-            return _match_values(bound, arg, blocked)
+    def __init__(self, rule: Rule):
+        self.consts: list[Any] = []
+        self.lines: list[str] = []
+        self.names: dict[int, str] = {}  # id(rule var) -> local name
+        self.seen: set[int] = set()  # rule variables met so far
+        self.assigned: set[int] = set()  # ... and surely assigned here
+        self.inits: dict[str, None] = {}  # locals that start as None
+        self.temps = 0
+        self.rb = False  # the code keeps a blocker list ``rb``
+        self.direct = False  # this phase has a single blocking site
+        self._lower(rule)
+        params = "".join(f", k{i}" for i in range(len(self.consts)))
+        prologue = [" = ".join(self.inits) + " = None"] if self.inits else []
+        if self.rb:
+            prologue.append("rb = []")
+        self.source = "\n".join(
+            [f"def rule(args, blocked{params}):"]
+            + ["    " + line for line in prologue + self.lines]
+            + [""]
+        )
 
-        return match_var
-    if pt is Atom:
+    def _lower(self, rule: Rule) -> None:
+        patterns = [deref(a) for a in rule.head.args]
+        # The places where matching can block or fail: non-variable
+        # pattern nodes and repeated variables.
+        head = _var_uses(*patterns)
+        nodes = head.pop(None)
+        repeats = sum(head.values()) - len(head)
+        self.uses = _var_uses(*rule.guards, *rule.body)
+        for key, count in head.items():
+            self.uses[key] = self.uses.get(key, 0) + count
+        self.direct = nodes == 1 and not repeats
+        targets = self._targets(patterns)
+        used = [(i, t) for i, t in enumerate(targets) if t != "_"]
+        if len(used) == 1:  # keeps the source independent of the arity
+            self.emit(f"{used[0][1]} = args[{used[0][0]}]", 0)
+        elif used:
+            self.emit(f"{_tuple_src(targets)} = args", 0)
+        self._children(patterns, targets, 0)
+        if repeats or nodes > 1:
+            self._suspend_if_blocked()
+        self.assigned |= self.seen
+        guards = [deref(g) for g in rule.guards]
+        guards = [g for g in guards
+                  if not (type(g) is Atom and g.name in ("true", "otherwise"))]
+        self.direct = len(guards) == 1
+        for guard in guards:
+            if not self._guard(guard):
+                return
+        if len(guards) > 1:
+            self._suspend_if_blocked()
+        # On commit every guard ran to completion: all variables exist.
+        self.assigned |= self.seen
+        goals = [self._build(goal, 0) for goal in rule.body]
+        self.emit(f"return ({_tuple_src(goals)})" if goals else "return ()", 0)
 
-        def match_atom(arg: Term, env: dict, blocked: list) -> bool:
-            arg = deref(arg)
-            if arg is pattern:
-                return True
-            if type(arg) is Var:
-                blocked.append(arg)
-                return True
+    # -- emission helpers ------------------------------------------------
+    def emit(self, line: str, indent: int) -> None:
+        self.lines.append("    " * indent + line)
+
+    def const(self, value: Any) -> str:
+        self.consts.append(value)
+        return f"k{len(self.consts) - 1}"
+
+    def temp(self) -> str:
+        self.temps += 1
+        return f"t{self.temps}"
+
+    def local(self, var: Var) -> str:
+        name = self.names.get(id(var))
+        if name is None:
+            name = self.names[id(var)] = f"v{len(self.names)}"
+        return name
+
+    def blockers(self) -> str:
+        """The list this phase's blockers go to."""
+        if self.direct:
+            return "blocked"
+        self.rb = True
+        return "rb"
+
+    def _block(self, t: str, indent: int) -> None:
+        self.emit(f"{self.blockers()}.append({t})", indent)
+        if self.direct:
+            self.emit("return None", indent)
+
+    def _suspend_if_blocked(self) -> None:
+        self.emit("if rb:", 0)
+        self.emit("blocked.extend(rb)", 1)
+        self.emit("return None", 1)
+
+    def _deref(self, t: str, indent: int) -> None:
+        self.emit(f"while type({t}) is Var and {t}.ref is not _U:", indent)
+        self.emit(f"{t} = {t}.ref", indent + 1)
+
+    def _maybe(self, var: Var) -> str:
+        """Name of a variable that may not have been assigned yet: it was
+        first met in code that can be skipped (a sub-pattern whose argument
+        was unbound, the right side of a suspended comparison)."""
+        name = self.local(var)
+        self.inits[name] = None
+        self.assigned.add(id(var))
+        return name
+
+    # -- head --------------------------------------------------------------
+    def _targets(self, patterns: list[Term]) -> list[str]:
+        """Unpacking targets for sibling sub-patterns: a variable's first
+        occurrence binds it directly; everything else goes to a temp."""
+        pending = set(self.seen)
+        targets = []
+        for i, p in enumerate(patterns):
+            if type(p) is Var and id(p) not in pending:
+                pending.add(id(p))
+                targets.append(self.local(p) if self.uses[id(p)] > 1 else "_")
+                continue
+            if type(p) is not Var and any(type(q) is Var for q in patterns[i + 1:]):
+                pending.update(_var_uses(p))  # a later variable may recur in p
+            targets.append(self.temp())
+        return targets
+
+    def _children(self, patterns: list[Term], targets: list[str], indent: int) -> None:
+        for p, t in zip(patterns, targets):
+            if type(p) is not Var:
+                self._match(p, t, indent)
+            elif id(p) not in self.seen:
+                self.seen.add(id(p))
+                self.assigned.add(id(p))
+            else:
+                # Non-linear head: both occurrences must agree.
+                rb = self.blockers()
+                if id(p) in self.assigned:
+                    name = self.local(p)
+                    self.emit(f"if not _match_values({name}, {t}, {rb}):", indent)
+                else:
+                    name = self._maybe(p)
+                    self.emit(f"if {name} is None:", indent)
+                    self.emit(f"{name} = {t}", indent + 1)
+                    self.emit(f"elif not _match_values({name}, {t}, {rb}):", indent)
+                self.emit("return None", indent + 1)
+
+    def _match(self, p: Term, t: str, indent: int) -> None:
+        """Match the argument in local ``t`` against non-variable ``p``."""
+        if indent >= MAX_HEAD_DEPTH:
+            raise StrandError(f"rule head nests deeper than {MAX_HEAD_DEPTH} levels")
+        pt = type(p)
+        subs: list[Term] = []
+        if pt is Atom:
+            clash = f"{t} is not {self.const(p)}"
+        elif pt is int or pt is float:
+            clash = (f"type({t}) is not int and type({t}) is not float"
+                     f" or {t} != {self.const(p)}")
+        elif pt is str:
+            clash = f"type({t}) is not str or {t} != {self.const(p)}"
+        elif pt is Cons:
+            clash = f"type({t}) is not Cons"
+            subs, source = [deref(p.head), deref(p.tail)], f"{t}.head, {t}.tail"
+        elif pt is Struct:
+            clash = (f"type({t}) is not Struct or {t}.functor != {self.const(p.functor)}"
+                     f" or len({t}.args) != {len(p.args)}")
+            subs, source = [deref(a) for a in p.args], f"{t}.args"
+        elif pt is Tup:
+            clash = f"type({t}) is not Tup or len({t}.args) != {len(p.args)}"
+            subs, source = [deref(a) for a in p.args], f"{t}.args"
+        else:
+            raise TypeError(f"bad pattern term {p!r}")
+        if self.direct:
+            # The only blocking site: an unbound argument suspends the rule.
+            self.emit(f"while type({t}) is Var:", indent)
+            self.emit(f"if {t}.ref is _U:", indent + 1)
+            self.emit(f"blocked.append({t})", indent + 2)
+            self.emit("return None", indent + 2)
+            self.emit(f"{t} = {t}.ref", indent + 1)
+            self.emit(f"if {clash}:", indent)
+            self.emit("return None", indent + 1)
+        else:
+            self._deref(t, indent)
+            self.emit(f"if type({t}) is Var:", indent)
+            self.emit(f"{self.blockers()}.append({t})", indent + 1)
+            self.emit(f"elif {clash}:", indent)
+            self.emit("return None", indent + 1)
+            self.emit("else:", indent)
+            indent += 1
+        start = len(self.lines)
+        before = set(self.assigned)
+        targets = self._targets(subs)
+        if any(target != "_" for target in targets):
+            self.emit(f"{_tuple_src(targets)} = {source}", indent)
+        self._children(subs, targets, indent)
+        # Variables first bound below stay unbound when the argument was.
+        self.assigned = before
+        if len(self.lines) == start and not self.direct:
+            self.lines.pop()  # nothing to do below: drop the ``else:``
+
+    # -- guards ------------------------------------------------------------
+    def _guard(self, g: Term) -> bool:
+        """Emit one guard; False when it always fails (code after it is
+        unreachable)."""
+        name = g.functor if type(g) is Struct else None
+        arity = len(g.args) if type(g) is Struct else -1
+        if arity == 2 and name in _COMPARISONS:
+            rb = self.blockers()
+            self.emit("try:", 0)
+            lhs = self._operand(g.args[0])
+            # The right side is built only once the left side evaluated.
+            before = set(self.assigned)
+            rhs = self._operand(g.args[1])
+            self.assigned = before
+            if self.lines[-1] == "try:":
+                self.emit("pass", 1)  # two numeric constants
+            self.emit("except Suspend as e:", 0)
+            self.emit(f"{rb}.extend(e.variables)", 1)
+            if self.direct:
+                self.emit("return None", 1)
+            self.emit("except ArithFail:", 0)
+            self.emit("return None", 1)
+            self.emit("else:", 0)
+            self.emit(f"if not ({lhs} {_COMPARISONS[name]} {rhs}):", 1)
+            self.emit("return None", 2)
+        elif arity == 2 and name in ("==", "\\=="):
+            rb = self.blockers()
+            lhs = self._build(g.args[0], 0)
+            rhs = self._build(g.args[1], 0)
+            decided, equal = self.temp(), self.temp()
+            self.emit(f"{decided}, {equal} = _ground_equal({lhs}, {rhs}, {rb})", 0)
+            if self.direct:  # undecided: the blocker is already recorded
+                fails = f"not {decided} or " + (f"not {equal}" if name == "==" else equal)
+            else:
+                fails = f"{decided} and " + (f"not {equal}" if name == "==" else equal)
+            self.emit(f"if {fails}:", 0)
+            self.emit("return None", 1)
+        elif arity == 1 and (name in GUARD_TESTS or name == "known"):
+            x = self.temp()
+            self.emit(f"{x} = {self._build(g.args[0], 0)}", 0)
+            self._deref(x, 0)
+            self.emit(f"if type({x}) is Var:", 0)
+            self._block(x, 1)
+            if name != "known":
+                self.emit(f"elif not {self.const(GUARD_TESTS[name])}({x}):", 0)
+                self.emit("return None", 1)
+        else:
+            self.emit("return None", 0)
             return False
+        return True
 
-        return match_atom
-    if pt is int or pt is float:
+    def _operand(self, term: Term) -> str:
+        """A local holding the value of one comparison operand, evaluated
+        inside the guard's ``try`` block (exactly as ``eval_arith`` would)."""
+        term = deref(term)
+        if type(term) is int or type(term) is float:
+            return self.const(term)
+        value = self._build(term, 1)
+        x = self.temp()
+        if type(term) is not Var:
+            self.emit(f"{x} = eval_arith({value})", 1)
+            return x
+        self.emit(f"{x} = {value}", 1)
+        self._deref(x, 1)
+        self.emit(f"if type({x}) is not int and type({x}) is not float:", 1)
+        self.emit(f"{x} = eval_arith({x})", 2)
+        return x
 
-        def match_number(arg: Term, env: dict, blocked: list) -> bool:
-            arg = deref(arg)
-            at = type(arg)
-            if at is Var:
-                blocked.append(arg)
-                return True
-            return (at is int or at is float) and pattern == arg
+    # -- body and guard terms ------------------------------------------------
+    def _build(self, term: Term, indent: int, depth: int = 0) -> str:
+        """An expression building ``term``.
 
-        return match_number
-    if pt is str:
-
-        def match_string(arg: Term, env: dict, blocked: list) -> bool:
-            arg = deref(arg)
-            at = type(arg)
-            if at is Var:
-                blocked.append(arg)
-                return True
-            return at is str and pattern == arg
-
-        return match_string
-    if pt is Cons:
-        match_h = compile_pattern(pattern.head)
-        match_t = compile_pattern(pattern.tail)
-
-        def match_cons(arg: Term, env: dict, blocked: list) -> bool:
-            arg = deref(arg)
-            at = type(arg)
-            if at is Var:
-                blocked.append(arg)
-                return True
-            if at is not Cons:
-                return False
-            return match_h(arg.head, env, blocked) and match_t(arg.tail, env, blocked)
-
-        return match_cons
-    if pt is Tup:
-        subs = tuple(compile_pattern(a) for a in pattern.args)
-        want = len(pattern.args)
-
-        def match_tuple(arg: Term, env: dict, blocked: list) -> bool:
-            arg = deref(arg)
-            at = type(arg)
-            if at is Var:
-                blocked.append(arg)
-                return True
-            if at is not Tup or len(arg.args) != want:
-                return False
-            return all(m(a, env, blocked) for m, a in zip(subs, arg.args))
-
-        return match_tuple
-    if pt is Struct:
-        subs = tuple(compile_pattern(a) for a in pattern.args)
-        functor = pattern.functor
-        want = len(pattern.args)
-
-        def match_struct(arg: Term, env: dict, blocked: list) -> bool:
-            arg = deref(arg)
-            at = type(arg)
-            if at is Var:
-                blocked.append(arg)
-                return True
-            if at is not Struct or arg.functor != functor or len(arg.args) != want:
-                return False
-            return all(m(a, env, blocked) for m, a in zip(subs, arg.args))
-
-        return match_struct
-    raise TypeError(f"bad pattern term {pattern!r}")
-
-
-# ---------------------------------------------------------------------------
-# Guard plans
-# ---------------------------------------------------------------------------
-
-def compile_guard(guard: Term) -> Callable[[dict, dict, list], bool] | None:
-    """Compile one guard goal into ``g(env, fresh, blocked)``.
-
-    ``None`` means the guard is trivially true (``true`` / ``otherwise``)
-    and can be dropped from the plan.  ``False`` return = definite failure;
-    appending to ``blocked`` (returning ``True``) = undecided.
-    """
-    guard = deref(guard)
-    if type(guard) is Atom:
-        if guard.name in ("true", "otherwise"):
-            return None
-        return lambda env, fresh, blocked: False
-    if type(guard) is not Struct:
-        return lambda env, fresh, blocked: False
-    name, arity = guard.functor, len(guard.args)
-    if arity == 2 and name in _COMPARISONS:
-        op = _COMPARISONS[name]
-        lhs = compile_template(guard.args[0])
-        rhs = compile_template(guard.args[1])
-
-        def guard_compare(env: dict, fresh: dict, blocked: list) -> bool:
-            try:
-                a = eval_arith(lhs(env, fresh))
-                b = eval_arith(rhs(env, fresh))
-            except Suspend as s:
-                blocked.extend(s.variables)
-                return True
-            except ArithFail:
-                return False
-            return op(a, b)
-
-        return guard_compare
-    if arity == 2 and name in ("==", "\\=="):
-        want_equal = name == "=="
-        lhs = compile_template(guard.args[0])
-        rhs = compile_template(guard.args[1])
-
-        def guard_equality(env: dict, fresh: dict, blocked: list) -> bool:
-            decided, equal = _ground_equal(
-                deref(lhs(env, fresh)), deref(rhs(env, fresh)), blocked
-            )
-            if not decided:
-                return True
-            return equal if want_equal else not equal
-
-        return guard_equality
-    if arity == 1 and name in GUARD_TESTS:
-        test = GUARD_TESTS[name]
-        operand = compile_template(guard.args[0])
-
-        def guard_test(env: dict, fresh: dict, blocked: list) -> bool:
-            arg = deref(operand(env, fresh))
-            if type(arg) is Var:
-                blocked.append(arg)
-                return True
-            return test(arg)
-
-        return guard_test
-    if arity == 1 and name == "known":
-        operand = compile_template(guard.args[0])
-
-        def guard_known(env: dict, fresh: dict, blocked: list) -> bool:
-            arg = deref(operand(env, fresh))
-            if type(arg) is Var:
-                blocked.append(arg)
-                return True
-            return True
-
-        return guard_known
-    return lambda env, fresh, blocked: False
+        Fresh variables are created by statements emitted here, depth-first
+        left to right, so they come into being in the order the rule is
+        read.  Ground subterms free of tuples (which ``put_arg`` mutates)
+        are shared constants.  Structures nest as expressions down to
+        :data:`_SPILL_DEPTH`; deeper ones are built by statements.
+        """
+        term = deref(term)
+        tt = type(term)
+        if tt is Var:
+            key = id(term)
+            name = self.local(term)
+            if key not in self.seen:
+                self.seen.add(key)
+                self.assigned.add(key)
+                self.emit(f"{name} = Var({self.const(term.name)})", indent)
+            elif key not in self.assigned:
+                self._maybe(term)
+                self.emit(f"if {name} is None:", indent)
+                self.emit(f"{name} = Var({self.const(term.name)})", indent + 1)
+            return name
+        if tt is not Struct and tt is not Cons and tt is not Tup:
+            return self.const(term)  # atoms, numbers, strings are immutable
+        mark = len(self.consts)
+        subs = (term.head, term.tail) if tt is Cons else term.args
+        parts = [self._build(a, indent, depth + 1) for a in subs]
+        if tt is not Tup and all(part[0] == "k" for part in parts):
+            del self.consts[mark:]
+            return self.const(term)
+        if tt is Cons:
+            source = f"Cons({parts[0]}, {parts[1]})"
+        elif tt is Tup:
+            source = f"Tup([{', '.join(parts)}])"
+        else:
+            source = f"Struct({self.const(term.functor)}, ({_tuple_src(parts)}))"
+        if depth % _SPILL_DEPTH or not depth:
+            return source
+        name = self.temp()
+        self.emit(f"{name} = {source}", indent)
+        return name
 
 
 # ---------------------------------------------------------------------------
@@ -467,48 +770,27 @@ def goal_index_key(arg: Term) -> IndexKey:
 
 
 class CompiledRule:
-    """One rule's precompiled plans plus a back-pointer to its source."""
+    """One rule lowered to its generated function ``fn(args, blocked)``,
+    plus a back-pointer to its source rule."""
 
-    __slots__ = ("rule", "order", "matchers", "guards", "body", "index_key")
+    __slots__ = ("rule", "order", "index_key", "fn")
 
     def __init__(self, rule: Rule, order: int):
         COMPILE_STATS["rules"] += 1
         self.rule = rule
         self.order = order  # textual position within the procedure
-        self.matchers = tuple(compile_pattern(a) for a in rule.head.args)
-        self.guards = tuple(
-            g for g in (compile_guard(guard) for guard in rule.guards)
-            if g is not None
-        )
-        self.body = tuple(compile_template(goal) for goal in rule.body)
+        lowering = _Lowering(rule)
+        # The constants are the defaults of the trailing ``k`` parameters.
+        self.fn = FunctionType(_rule_code(lowering.source), _RULE_GLOBALS, "rule",
+                               tuple(lowering.consts))
         args = rule.head.args
         self.index_key = pattern_index_key(args[0]) if args else None
 
-    def try_commit(self, goal_args: tuple, blocked: list) -> dict | None:
-        """Head-match + guard-check against one goal.
-
-        Returns the match environment on commit, ``None`` otherwise;
-        blocking variables of an undecided match/guard are appended to
-        ``blocked``.  Definite failures contribute nothing.
-        """
-        env: dict = {}
-        rule_blocked: list = []
-        for matcher, arg in zip(self.matchers, goal_args):
-            if not matcher(arg, env, rule_blocked):
-                return None  # definite head mismatch: discard blockers
-        if rule_blocked:
-            blocked.extend(rule_blocked)
-            return None
-        if self.guards:
-            fresh: dict = {}
-            guard_blocked: list = []
-            for guard in self.guards:
-                if not guard(env, fresh, guard_blocked):
-                    return None  # definite guard failure: discard blockers
-            if guard_blocked:
-                blocked.extend(guard_blocked)
-                return None
-        return env
+    @property
+    def source(self) -> str:
+        """The generated source of :attr:`fn` (rebuilt on demand: it is a
+        debugging aid, not kept per rule)."""
+        return _Lowering(self.rule).source
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<CompiledRule #{self.order} {self.rule.indicator}>"
@@ -563,15 +845,15 @@ class CompiledProcedure:
             return self.rules
         return self.buckets.get(goal_index_key(first), self.wildcards)
 
-    def select(self, goal_args: tuple) -> tuple[CompiledRule, dict] | None:
+    def select(self, goal_args: tuple) -> tuple[CompiledRule, tuple] | None:
         """Committed choice: the first textually-matching rule and its
-        environment.  Raises :class:`Suspend` when no rule matches yet but
-        some could; returns ``None`` on definite failure."""
+        instantiated body goals.  Raises :class:`Suspend` when no rule
+        matches yet but some could; returns ``None`` on definite failure."""
         blocked: list = []
         for crule in self.candidates(goal_args):
-            env = crule.try_commit(goal_args, blocked)
-            if env is not None:
-                return crule, env
+            goals = crule.fn(goal_args, blocked)
+            if goals is not None:
+                return crule, goals
         if blocked:
             raise Suspend(blocked)
         return None

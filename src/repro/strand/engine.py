@@ -12,8 +12,9 @@ The runtime is a pipeline: *parse → transform → compile → schedule/reduce*
 the pieces together:
 
 * the **compile layer** (:mod:`repro.strand.compile`) lowers the program to
-  a :class:`CompiledProgram` — interned indicator tables, per-rule match and
-  guard plans, and order-preserving first-argument rule indexing;
+  a :class:`CompiledProgram` — interned indicator tables, one generated
+  Python function per rule, and order-preserving first-argument rule
+  indexing;
 * the **scheduler** (:mod:`repro.strand.scheduler`) is a discrete-event
   simulator: a global event heap orders processors by the earliest time they
   can next execute, and per-processor heaps order processes by readiness;
@@ -44,17 +45,11 @@ from repro.strand.foreign import ForeignRegistry, to_python
 from repro.strand.parser import parse_query
 from repro.strand.program import Program
 from repro.strand.reducer import Reducer
-from repro.strand.scheduler import DONE, RUNNABLE, SUSPENDED, Process, Scheduler
+from repro.strand.scheduler import DONE, Process, Scheduler
 from repro.strand.streams import PortRef
 from repro.strand.terms import Atom, Cons, NIL, Struct, Term, Var, deref, term_eq
 
 __all__ = ["Process", "ReliableState", "StrandEngine", "QueryResult", "run_query"]
-
-# Backwards-compatible aliases for the process states now defined in the
-# scheduler module.
-_RUNNABLE = RUNNABLE
-_SUSPENDED = SUSPENDED
-_DONE = DONE
 
 
 def _msg_tag(msg: Term) -> str:
@@ -201,15 +196,6 @@ class StrandEngine:
         self._ports_closed = False
         self._quiesce_closes = 0
         self._crash_timers_installed = False
-
-    # -- compatibility views over the scheduler's state -----------------
-    @property
-    def _suspended(self) -> dict[int, Process]:
-        return self.scheduler.suspended
-
-    @property
-    def _live(self) -> int:
-        return self.scheduler.live
 
     # ------------------------------------------------------------------
     # Spawning
@@ -509,7 +495,7 @@ class StrandEngine:
                 key=lambda item: (item[1].proc, item[1].seq),
             ):
                 del self.scheduler.suspended[key]
-                process.state = _DONE
+                process.state = DONE
                 self.scheduler.live -= 1
                 stats.processes_abandoned += 1
                 self.machine.trace.record(

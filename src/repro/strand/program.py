@@ -143,7 +143,7 @@ class Program:
 
     def __getstate__(self):
         # Compiled artifacts are cached as dynamic attributes keyed on the
-        # version stamp; they hold closures and are rebuilt on demand, so
+        # version stamp; they hold generated code and are rebuilt on demand, so
         # they must not (and cannot) cross process boundaries when the
         # parallel backend ships programs to workers.
         state = self.__dict__.copy()

@@ -114,7 +114,7 @@ class Reducer:
                 f"process {format_term(goal)} matches no rule of "
                 f"{goal.functor}/{len(goal.args)} and can never match"
             )
-        crule, env = selected
+        crule, goals = selected
         rule_motif = crule.rule.motif
         if rule_motif is not None and rule_motif != process.motif:
             # Refine attribution to the committed rule's provenance tag (a
@@ -123,12 +123,11 @@ class Reducer:
             profile = self.engine.profile
             if profile is not None:
                 profile.begin(rule_motif, goal.indicator)
-        # Commit: spawn the body.
+        # Commit: spawn the body goals the rule function built.
         cost = self.reduction_cost
-        fresh: dict[int, Var] = {}
         done = now + cost
-        for builder in crule.body:
-            self._spawn_body(builder(env, fresh), process, done)
+        for inst in goals:
+            self._spawn_body(inst, process, done)
         return cost
 
     def _spawn_body(self, inst: Term, parent: Process, ready: float) -> None:

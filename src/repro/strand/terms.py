@@ -352,8 +352,8 @@ def copy_term(term: Term, var_image: Callable[[Var], Term]) -> Term:
     Iterative like :func:`term_size`/:func:`walk_terms` — a recursive copy
     blows the interpreter stack around 20k cons cells, and list spines of
     that depth are ordinary data here (repro: ``rename_term(make_list(
-    range(20000)))``).  Shared by :func:`rename_term` and the reducer's
-    ``instantiate`` so both copying paths stay stack-safe.
+    range(20000)))``).  Shared by :func:`rename_term` and the reference
+    matcher's ``instantiate`` so both copying paths stay stack-safe.
 
     The work stack holds terms to visit plus marker tuples; a marker pops
     its node's finished children off the output stack and pushes the

@@ -1,4 +1,9 @@
-"""One-way head matching and guard evaluation (committed choice).
+"""Reference matcher: one-way head matching and guard evaluation by
+interpreting the rule terms directly (committed choice).
+
+The runtime lowers every rule to a generated Python function
+(:mod:`repro.strand.compile`); this interpreter is the independent oracle
+those functions are checked against.
 
 The paper (§2.1): "Conditions expressed by non-variable terms in a rule head
 define dataflow constraints: A rule cannot be used to reduce a process until
@@ -18,22 +23,27 @@ logic.
 
 from __future__ import annotations
 
-from typing import Any
+import operator
 
 from repro.strand.arith import ArithFail, Suspend, eval_arith
-from repro.strand.terms import (
-    Atom,
-    Cons,
-    Struct,
-    Term,
-    Tup,
-    Var,
-    copy_term,
-    deref,
-    term_eq,
+from repro.strand.compile import (
+    _COMPARISONS,
+    GUARD_TESTS,
+    _ground_equal,
+    _match_values,
 )
+from repro.strand.terms import Atom, Cons, Struct, Term, Tup, Var, copy_term, deref
 
-__all__ = ["MatchResult", "match_head", "eval_guards", "instantiate", "GUARD_TESTS"]
+__all__ = ["MatchResult", "match_head", "eval_guards", "instantiate"]
+
+_OPERATORS = {
+    "<": operator.lt,
+    ">": operator.gt,
+    "<=": operator.le,
+    ">=": operator.ge,
+    "!=": operator.ne,
+    "==": operator.eq,
+}
 
 
 class MatchResult:
@@ -124,41 +134,6 @@ def _match(pattern: Term, arg: Term, env: dict[int, Term], blocked: list[Var]) -
     return True
 
 
-def _match_values(a: Term, b: Term, blocked: list[Var]) -> bool:
-    """Compare two caller-side terms for the non-linear-head case; unbound
-    variables block unless identical.  Iterative for deep-list safety."""
-    stack = [(a, b)]
-    while stack:
-        a, b = stack.pop()
-        a, b = deref(a), deref(b)
-        if a is b:
-            continue
-        ta, tb = type(a), type(b)
-        if ta is Var:
-            blocked.append(a)
-            continue
-        if tb is Var:
-            blocked.append(b)
-            continue
-        if ta is Cons and tb is Cons:
-            stack.append((a.tail, b.tail))
-            stack.append((a.head, b.head))
-        elif ta is Struct and tb is Struct:
-            if a.functor != b.functor or len(a.args) != len(b.args):
-                return False
-            stack.extend(zip(reversed(a.args), reversed(b.args)))
-        elif ta is Tup and tb is Tup:
-            if len(a.args) != len(b.args):
-                return False
-            stack.extend(zip(reversed(a.args), reversed(b.args)))
-        elif isinstance(a, (int, float)) and isinstance(b, (int, float)):
-            if a != b:
-                return False
-        elif not (a == b if ta is tb else False):
-            return False
-    return True
-
-
 def instantiate(term: Term, env: dict[int, Term], fresh: dict[int, Var]) -> Term:
     """Build a body/guard goal instance: rule variables become their matched
     values, unmatched rule variables become fresh shared variables.
@@ -179,61 +154,6 @@ def instantiate(term: Term, env: dict[int, Term], fresh: dict[int, Var]) -> Term
         return new
 
     return copy_term(term, image)
-
-
-# --------------------------------------------------------------------------
-# Guards
-# --------------------------------------------------------------------------
-
-def _test_integer(t: Term) -> bool:
-    return type(t) is int
-
-
-def _test_number(t: Term) -> bool:
-    return type(t) is int or type(t) is float
-
-
-def _test_float(t: Term) -> bool:
-    return type(t) is float
-
-
-def _test_atom(t: Term) -> bool:
-    return type(t) is Atom
-
-
-def _test_string(t: Term) -> bool:
-    return type(t) is str
-
-
-def _test_list(t: Term) -> bool:
-    from repro.strand.terms import NIL
-
-    return type(t) is Cons or t is NIL
-
-
-def _test_tuple(t: Term) -> bool:
-    return type(t) is Tup
-
-
-#: Type-test guards: ``name -> predicate over the dereffed, bound argument``.
-GUARD_TESTS: dict[str, Any] = {
-    "integer": _test_integer,
-    "number": _test_number,
-    "float": _test_float,
-    "atom": _test_atom,
-    "string": _test_string,
-    "list": _test_list,
-    "tuple": _test_tuple,
-}
-
-_COMPARISONS = {
-    "<": lambda a, b: a < b,
-    ">": lambda a, b: a > b,
-    "=<": lambda a, b: a <= b,
-    ">=": lambda a, b: a >= b,
-    "=\\=": lambda a, b: a != b,
-    "=:=": lambda a, b: a == b,
-}
 
 
 def eval_guards(guards: list[Term], env: dict[int, Term]) -> MatchResult:
@@ -276,7 +196,7 @@ def _eval_guard(goal: Term, blocked: list[Var]) -> bool:
             return True  # undecided
         except ArithFail:
             return False
-        return _COMPARISONS[name](a, b)
+        return _OPERATORS[_COMPARISONS[name]](a, b)
     if arity == 2 and name in ("==", "\\=="):
         a, b = deref(goal.args[0]), deref(goal.args[1])
         decided, equal = _ground_equal(a, b, blocked)
@@ -296,52 +216,3 @@ def _eval_guard(goal: Term, blocked: list[Var]) -> bool:
             return True
         return True
     return False
-
-
-def _ground_equal(a: Term, b: Term, blocked: list[Var]) -> tuple[bool, bool]:
-    """(decided?, equal?) for structural equality; suspends on unbound
-    variables unless identity already decides.
-
-    Nested unbound vars inside structures make the comparison undecided only
-    if the decided parts are equal so far; term_eq treats distinct unbound
-    vars as unequal, so do a cautious walk instead — iterative (left-to-right
-    DFS over a pair stack) so deep lists cannot blow the interpreter stack.
-    The first pair that is not definitely-equal settles the verdict, matching
-    the short-circuit order of the old recursion.
-    """
-    stack = [(a, b)]
-    while stack:
-        a, b = stack.pop()
-        a, b = deref(a), deref(b)
-        if a is b:
-            continue
-        if type(a) is Var:
-            blocked.append(a)
-            return False, False
-        if type(b) is Var:
-            blocked.append(b)
-            return False, False
-        ta, tb = type(a), type(b)
-        if ta is Struct and tb is Struct:
-            if a.functor != b.functor or len(a.args) != len(b.args):
-                return True, False
-            stack.extend(zip(reversed(a.args), reversed(b.args)))
-        elif ta is Cons and tb is Cons:
-            stack.append((a.tail, b.tail))
-            stack.append((a.head, b.head))
-        elif ta is Tup and tb is Tup:
-            if len(a.args) != len(b.args):
-                return True, False
-            stack.extend(zip(reversed(a.args), reversed(b.args)))
-        elif isinstance(a, (int, float)) and isinstance(b, (int, float)):
-            if a != b:
-                return True, False
-        elif ta is not tb:
-            return True, False
-        elif a != b:
-            return True, False
-    return True, True
-
-
-# Re-export for engine convenience.
-__all__.append("term_eq")

@@ -1,30 +1,38 @@
-"""The compile layer: symbol tables, plans, and first-argument indexing.
+"""The compile layer: symbol tables, generated rule functions, and
+first-argument indexing.
 
-The load-bearing property: indexed rule selection must be observationally
-identical to the seed engine's linear scan — same committed rule (the first
-*textual* match), same suspension variables, same definite failures — on
+The load-bearing property: the generated rule functions, selected through
+the first-argument index or by a linear scan, must be observationally
+identical to the interpretive reference matcher (``tests/strand/oracle.py``)
+— same committed rule (the first *textual* match), same body goals, same
+suspension variables in the same order, same definite failures — on
 arbitrary programs and goals.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import StrandError
 from repro.strand import parse_program, run_query
 from repro.strand.arith import Suspend
 from repro.strand.compile import (
+    CODE_CACHE_SIZE,
     COMPILE_STATS,
+    MAX_HEAD_DEPTH,
     CompiledProcedure,
+    CompiledRule,
+    _rule_code,
     compile_program,
-    compile_template,
     symbol_table,
 )
-from repro.strand.match import MatchResult, eval_guards, match_head
 from repro.strand.program import Procedure, Rule
-from repro.strand.terms import Atom, Cons, NIL, Struct, Tup, Var, deref
+from repro.strand.terms import Atom, Cons, NIL, Struct, Tup, Var, deref, make_list
+from tests.strand.oracle import MatchResult, eval_guards, instantiate, match_head
 
 
 # ---------------------------------------------------------------------------
-# Reference selector: the seed engine's linear scan, verbatim semantics
+# Reference selector: the interpretive matcher, rule by rule
 # ---------------------------------------------------------------------------
 
 def _goal_var_ids(term):
@@ -43,112 +51,272 @@ def _goal_var_ids(term):
     return ids
 
 
-def reference_select(rules, goal):
-    """("commit", index) | ("suspend", {blocked goal-var ids}) | ("fail",)
+def _canon_vars(variables, goal_vars):
+    """Blocking variables in order: goal variables by identity, variables
+    the rule created (guard-fresh) by name — their identity is per run."""
+    return [("goal", id(v)) if id(v) in goal_vars else ("fresh", v.name)
+            for v in (deref(v) for v in variables)]
 
-    Guards may also block on rule-fresh variables; those have per-run
-    identities, so the comparison is restricted to variables of the goal
-    (the only ones a binding can ever wake).
-    """
+
+def _canon_body(goals, goal_vars):
+    """Structure of instantiated body goals.  Goal variables compare by
+    identity; fresh variables by name and by first-appearance number, so
+    sharing across the goals of one body is part of the comparison."""
+    fresh: dict[int, int] = {}
+
+    def canon(term):
+        term = deref(term)
+        tt = type(term)
+        if tt is Var:
+            if id(term) in goal_vars:
+                return ("goal", id(term))
+            return ("fresh", term.name, fresh.setdefault(id(term), len(fresh)))
+        if tt is Struct:
+            return ("f", term.functor, tuple(canon(a) for a in term.args))
+        if tt is Tup:
+            return ("t", tuple(canon(a) for a in term.args))
+        if tt is Cons:
+            return ("c", canon(term.head), canon(term.tail))
+        return (tt.__name__, term)
+
+    return [canon(goal) for goal in goals]
+
+
+def reference_rule(rule, goal):
+    """One rule against one goal: ("commit", body) | ("suspend", blockers)
+    | ("fail",), all from the interpretive matcher."""
+    goal_vars = _goal_var_ids(goal)
+    m = match_head(rule.head, goal)
+    if m.status == MatchResult.FAILED:
+        return ("fail",)
+    if m.status == MatchResult.SUSPENDED:
+        return ("suspend", _canon_vars(m.blocked, goal_vars))
+    g = eval_guards(rule.guards, m.env)
+    if g.status == MatchResult.FAILED:
+        return ("fail",)
+    if g.status == MatchResult.SUSPENDED:
+        return ("suspend", _canon_vars(g.blocked, goal_vars))
+    fresh: dict = {}
+    body = [instantiate(b, m.env, fresh) for b in rule.body]
+    return ("commit", _canon_body(body, goal_vars))
+
+
+def generated_rule(crule, goal):
+    """The same outcome from one generated rule function."""
+    goal_vars = _goal_var_ids(goal)
+    blocked = []
+    goals = crule.fn(goal.args, blocked)
+    if goals is not None:
+        assert blocked == []
+        return ("commit", _canon_body(goals, goal_vars))
+    if blocked:
+        return ("suspend", _canon_vars(blocked, goal_vars))
+    return ("fail",)
+
+
+def reference_select(rules, goal):
+    """("commit", index, body) | ("suspend", ordered blockers) | ("fail",)"""
     blocked = []
     for index, rule in enumerate(rules):
-        m = match_head(rule.head, goal)
-        if m.status == MatchResult.FAILED:
-            continue
-        if m.status == MatchResult.SUSPENDED:
-            blocked.extend(m.blocked)
-            continue
-        g = eval_guards(rule.guards, m.env)
-        if g.status == MatchResult.FAILED:
-            continue
-        if g.status == MatchResult.SUSPENDED:
-            blocked.extend(g.blocked)
-            continue
-        return ("commit", index)
+        outcome = reference_rule(rule, goal)
+        if outcome[0] == "commit":
+            return ("commit", index, outcome[1])
+        if outcome[0] == "suspend":
+            blocked.extend(outcome[1])
     if blocked:
-        goal_vars = _goal_var_ids(goal)
-        return ("suspend", frozenset(id(v) for v in blocked) & goal_vars)
+        return ("suspend", blocked)
     return ("fail",)
 
 
 def compiled_select(compiled: CompiledProcedure, goal):
+    goal_vars = _goal_var_ids(goal)
     try:
         selected = compiled.select(goal.args)
     except Suspend as s:
-        goal_vars = _goal_var_ids(goal)
-        return ("suspend",
-                frozenset(id(deref(v)) for v in s.variables) & goal_vars)
+        return ("suspend", _canon_vars(s.variables, goal_vars))
     if selected is None:
         return ("fail",)
-    return ("commit", selected[0].order)
+    crule, goals = selected
+    return ("commit", crule.order, _canon_body(goals, goal_vars))
 
 
-# Head-pattern strategy: atoms, numbers, strings, vars, and nested
-# structures sharing a small vocabulary so collisions are common.
+# ---------------------------------------------------------------------------
+# Strategies: rules are drawn as abstract terms, then built with fresh
+# variables per rule, so the same rule variable can occur several times
+# (non-linear heads, guard-only and body-only variables).
+# ---------------------------------------------------------------------------
+
 _ATOMS = [Atom("a"), Atom("b"), Atom("c"), NIL]
 
 
-def _patterns(depth):
-    leaf = st.one_of(
-        st.sampled_from(_ATOMS),
-        st.integers(min_value=0, max_value=3),
-        st.sampled_from([1.0, 2.5]),
-        st.sampled_from(["s1", "s2"]),
-        st.builds(lambda: Var()),
-    )
-    if depth == 0:
-        return leaf
-    sub = _patterns(depth - 1)
-    return st.one_of(
+def _shapes(leaf):
+    return st.recursive(
         leaf,
-        st.builds(lambda a: Struct("f", (a,)), sub),
-        st.builds(lambda a, b: Struct("g", (a, b)), sub, sub),
-        st.builds(Cons, sub, sub),
-        st.builds(lambda a: Tup([a]), sub),
+        lambda sub: st.one_of(
+            st.tuples(st.just("f"), sub),
+            st.tuples(st.just("g"), sub, sub),
+            st.tuples(st.just("cons"), sub, sub),
+            st.tuples(st.just("tup"), st.lists(sub, min_size=0, max_size=2)),
+        ),
+        max_leaves=5,
     )
 
 
-_GUARDS = st.sampled_from([None, (">", 1), ("<", 3), ("==", Atom("a"))])
+_CONSTANTS = st.one_of(
+    st.sampled_from(_ATOMS),
+    st.integers(min_value=0, max_value=3),
+    st.sampled_from([1.0, 2.5]),
+    st.sampled_from(["s1", "s2"]),
+)
+_RULE_VAR = st.tuples(st.just("var"), st.integers(min_value=0, max_value=2))
+_PATTERNS = _shapes(st.one_of(_CONSTANTS, _RULE_VAR))
+_BODY_TERMS = _shapes(st.one_of(
+    _CONSTANTS, _RULE_VAR, st.tuples(st.just("var"), st.just(3)),
+))
+_ARITH = st.recursive(
+    st.one_of(
+        _RULE_VAR,
+        st.tuples(st.just("var"), st.just(3)),  # guard-only: never bound
+        st.integers(min_value=0, max_value=3),
+        st.just(Atom("a")),  # not a number: ArithFail
+    ),
+    lambda sub: st.tuples(st.sampled_from(["mod", "+"]), sub, sub),  # mod 0 fails
+    max_leaves=3,
+)
+_GUARDS = st.one_of(
+    st.tuples(st.just("cmp"), st.sampled_from(["<", ">", "=<", ">=", "=\\=", "=:="]),
+              _ARITH, _ARITH),
+    st.tuples(st.just("eq"), st.sampled_from(["==", "\\=="]), _BODY_TERMS, _BODY_TERMS),
+    st.tuples(st.just("test"), st.sampled_from(
+        ["integer", "number", "float", "atom", "string", "list", "tuple", "known"]),
+        _BODY_TERMS),
+    st.sampled_from([("atom", "true"), ("atom", "otherwise"), ("atom", "fail")]),
+)
+
+
+def _build(spec, rule_vars):
+    if isinstance(spec, tuple):
+        kind = spec[0]
+        if kind == "var":
+            return rule_vars[spec[1]]
+        if kind == "f":
+            return Struct("f", (_build(spec[1], rule_vars),))
+        if kind == "g":
+            return Struct("g", (_build(spec[1], rule_vars), _build(spec[2], rule_vars)))
+        if kind == "cons":
+            return Cons(_build(spec[1], rule_vars), _build(spec[2], rule_vars))
+        if kind == "tup":
+            return Tup([_build(s, rule_vars) for s in spec[1]])
+        if kind in ("mod", "+"):
+            return Struct(kind, (_build(spec[1], rule_vars), _build(spec[2], rule_vars)))
+        raise AssertionError(spec)
+    return spec
+
+
+def _guard(spec, rule_vars):
+    kind = spec[0]
+    if kind == "atom":
+        return Atom(spec[1])
+    if kind == "test":
+        return Struct(spec[1], (_build(spec[2], rule_vars),))
+    return Struct(spec[1], (_build(spec[2], rule_vars), _build(spec[3], rule_vars)))
+
+
+@st.composite
+def _rules(draw):
+    rule_vars = [Var(name) for name in ("X", "Y", "Z", "W")]
+    head = Struct("p", tuple(_build(draw(_PATTERNS), rule_vars) for _ in range(2)))
+    guards = [_guard(g, rule_vars) for g in draw(st.lists(_GUARDS, max_size=2))]
+    body = [Struct("q", tuple(_build(t, rule_vars) for t in args))
+            for args in draw(st.lists(st.lists(_BODY_TERMS, max_size=3), max_size=3))]
+    return Rule(head=head, guards=guards, body=body)
 
 
 @st.composite
 def _procedures(draw):
-    n_rules = draw(st.integers(min_value=1, max_value=8))
     proc = Procedure("p", 2)
-    for i in range(n_rules):
-        pat = draw(_patterns(2))
-        second = Var("X")
-        out = Var("Out")
-        guard_spec = draw(_GUARDS)
-        guards = []
-        if guard_spec is not None:
-            name, operand = guard_spec
-            guards = [Struct(name, (second, operand))]
-        head = Struct("p", (pat, draw(st.sampled_from([second, out]))))
-        proc.add(Rule(head=head, guards=guards, body=[]))
+    for rule in draw(st.lists(_rules(), min_size=1, max_size=6)):
+        proc.add(rule)
     return proc
 
 
+_GOAL_LEAVES = st.one_of(
+    st.sampled_from(_ATOMS),
+    st.integers(min_value=0, max_value=4),
+    st.sampled_from([1.0, 2.5, "s1", "s2"]),
+)
+
+
+def _goal_like(draw, head):
+    """A goal for ``head``: mostly its own shape with values for the rule
+    variables, but any subterm may be an unbound goal variable (shared
+    across the goal), another constant, or hidden behind a bound variable —
+    so goals match, clash and suspend in every position."""
+    goal_vars = [Var("G0"), Var("G1")]
+    values = {}
+
+    def convert(term):
+        term = deref(term)
+        mode = draw(st.integers(min_value=0, max_value=11))
+        if mode == 0:
+            return draw(st.sampled_from(goal_vars))
+        if mode == 1:
+            return draw(_GOAL_LEAVES)
+        tt = type(term)
+        if tt is Var:
+            if id(term) not in values or mode == 2:
+                values[id(term)] = draw(st.one_of(
+                    _GOAL_LEAVES, st.sampled_from(goal_vars),
+                    st.builds(lambda a: Struct("f", (a,)), _GOAL_LEAVES),
+                ))
+            value = values[id(term)]
+        elif tt is Struct:
+            value = Struct(term.functor, tuple(convert(a) for a in term.args))
+        elif tt is Cons:
+            value = Cons(convert(term.head), convert(term.tail))
+        elif tt is Tup:
+            value = Tup([convert(a) for a in term.args])
+        else:
+            value = term
+        if mode == 3:
+            bound = Var("B")
+            bound.bind(value)
+            return bound
+        return value
+
+    return Struct("p", tuple(convert(a) for a in head.args))
+
+
 @st.composite
-def _goals(draw):
-    first = draw(_patterns(2))
-    second = draw(st.one_of(
-        st.integers(min_value=0, max_value=4),
-        st.sampled_from(_ATOMS),
-        st.builds(lambda: Var()),
-    ))
-    return Struct("p", (first, second))
+def _rule_and_goal(draw):
+    rule = draw(_rules())
+    return rule, _goal_like(draw, rule.head)
+
+
+@st.composite
+def _procedure_and_goal(draw):
+    proc = draw(_procedures())
+    return proc, _goal_like(draw, draw(st.sampled_from(proc.rules)).head)
 
 
 class TestIndexedEquivalence:
     @settings(max_examples=300, deadline=None)
-    @given(_procedures(), _goals())
-    def test_indexed_selection_matches_linear_and_reference(self, proc, goal):
+    @given(_procedure_and_goal())
+    def test_indexed_selection_matches_linear_and_reference(self, case):
+        proc, goal = case
         indexed = CompiledProcedure(proc, index=True)
         linear = CompiledProcedure(proc, index=False)
         expected = reference_select(proc.rules, goal)
         assert compiled_select(linear, goal) == expected
         assert compiled_select(indexed, goal) == expected
+
+    @settings(max_examples=500, deadline=None)
+    @given(_rule_and_goal())
+    def test_rule_function_matches_oracle(self, case):
+        rule, goal = case
+        # Commit with the same body, suspension on the same variables in
+        # the same order, or definite failure leaving ``blocked`` alone.
+        assert generated_rule(CompiledRule(rule, 0), goal) == reference_rule(rule, goal)
 
     def test_var_headed_rules_stay_in_every_bucket(self):
         proc = Procedure("p", 1)
@@ -244,28 +412,82 @@ class TestSymbolTable:
         assert symbol_table(program) is not first
 
 
+def _commit(body):
+    """The body goals the rule ``p :- body`` builds (and the rule)."""
+    crule = CompiledRule(Rule(head=Struct("p", ()), body=list(body)), 0)
+    goals = crule.fn((), [])
+    assert goals is not None
+    return goals, crule
+
+
 class TestTemplates:
     def test_ground_structs_are_shared(self):
         term = Struct("point", (1, 2))
-        build = compile_template(term)
-        assert build({}, {}) is term
+        goals, _ = _commit([Struct("q", (term,))])
+        assert goals[0].args[0] is term
 
     def test_tuples_are_never_shared(self):
         # Tup cells are mutable (put_arg), so each instantiation is fresh.
         term = Tup([1, 2])
-        build = compile_template(term)
-        first = build({}, {})
-        second = build({}, {})
-        assert first is not second and first is not term
+        first, crule = _commit([Struct("q", (term,))])
+        second = crule.fn((), [])
+        assert first[0].args[0] is not second[0].args[0]
+        assert first[0].args[0] is not term
 
     def test_fresh_vars_shared_across_goals_of_a_rule(self):
         shared = Var("S")
-        build_one = compile_template(Struct("f", (shared,)))
-        build_two = compile_template(Struct("g", (shared,)))
-        env, fresh = {}, {}
-        one = build_one(env, fresh)
-        two = build_two(env, fresh)
+        goals, _ = _commit([Struct("f", (shared,)), Struct("g", (shared,))])
+        one, two = goals
         assert one.args[0] is two.args[0]
+        assert type(one.args[0]) is Var and one.args[0].name == "S"
+
+    def test_deep_body_templates_build(self):
+        # Deep non-ground bodies are built by statements, not one nested
+        # expression (which the Python parser would reject).
+        xs = [Var(f"X{i}") for i in range(300)]
+        template = make_list(xs)
+        goals, _ = _commit([Struct("q", (template,))])
+        reference = instantiate(template, {}, {})
+        assert _canon_body(goals[0].args, set()) == _canon_body([reference], set())
+
+    def test_nonlinear_head_suspends_on_distinct_unbound_vars(self):
+        x = Var("X")
+        crule = CompiledRule(Rule(head=Struct("p", (x, x))), 0)
+        g0, g1 = Var("G0"), Var("G1")
+        blocked = []
+        assert crule.fn((g0, g1), blocked) is None
+        assert blocked == [g0]
+        assert crule.fn((g0, g0), []) == ()
+
+    def test_too_deep_head_is_rejected(self):
+        pattern = Var("X")
+        for _ in range(MAX_HEAD_DEPTH + 1):
+            pattern = Struct("f", (pattern,))
+        with pytest.raises(StrandError, match="nests deeper"):
+            CompiledRule(Rule(head=Struct("p", (pattern,))), 0)
+
+
+class TestCodeCache:
+    def test_shape_equal_rules_share_one_code_object(self):
+        program = parse_program("""
+        p(a, f(X), Y) :- X > 1 | q(X, Y, [1, 2]), r(Y).
+        p(b, g(U), V) :- U > 7 | s(U, V, [3]), t(V).
+        """)
+        first, second = compile_program(program).procedure(("p", 3)).rules
+        assert first.source == second.source
+        assert first.fn.__code__ is second.fn.__code__
+        assert first.fn is not second.fn
+
+    def test_code_cache_never_exceeds_its_bound(self):
+        assert _rule_code.cache_info().maxsize == CODE_CACHE_SIZE
+        # More distinct shapes than the bound: head arity x body length.
+        for arity in range(1, 41):
+            args = tuple(Var(f"A{i}") for i in range(arity))
+            for goals in range(1, CODE_CACHE_SIZE // 40 + 3):
+                body = [Struct("q", args)] * goals
+                CompiledRule(Rule(head=Struct("p", args), body=body), 0)
+                assert _rule_code.cache_info().currsize <= CODE_CACHE_SIZE
+        assert _rule_code.cache_info().currsize == CODE_CACHE_SIZE
 
 
 class TestEngineIndexingFlag:

