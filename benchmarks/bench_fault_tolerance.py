@@ -19,7 +19,7 @@ import json
 from pathlib import Path
 
 from repro.apps.arithmetic import arithmetic_tree, eval_arith_node
-from repro.core.api import supervised_reduce_tree
+from repro.core.api import Supervise, reduce_tree
 from repro.errors import ReproError, StrandError
 from repro.machine import FaultPlan, Machine
 
@@ -46,9 +46,10 @@ def run_once(tree, seed: int, crash_rate: float):
         faults = FaultPlan(crash_rate=crash_rate, crash_window=CRASH_WINDOW)
     machine = Machine(PROCESSORS, seed=seed, faults=faults)
     try:
-        result = supervised_reduce_tree(
+        result = reduce_tree(
             tree, eval_arith_node, machine=machine,
-            retries=RETRIES, timeout=TIMEOUT, max_reductions=2_000_000,
+            supervise=Supervise(retries=RETRIES, timeout=TIMEOUT),
+            max_reductions=2_000_000,
         )
     except (ReproError, StrandError):
         # Deadlock (severed supervision channel) or a blown reduction

@@ -27,10 +27,11 @@ exactly reproducible.
 Run:  python examples/reliable_reduce.py
 """
 
-from repro import reliable_reduce_tree
+from repro import Reliable, Supervise, reduce_tree
 from repro.analysis import Table
 from repro.apps.arithmetic import arithmetic_tree, eval_arith_node
 from repro.machine import FaultPlan, Machine, Partition
+from repro.motifs.reliable import rel_state
 
 PROCESSORS = 4
 
@@ -51,13 +52,14 @@ def main() -> None:
          {}),
         ("30% duplicates", 0, FaultPlan(duplicate_rate=0.3), {}),
         ("20% drops + Supervise", 2, FaultPlan(drop_rate=0.2),
-         {"supervise": True, "sup_timeout": 400.0}),
+         {"supervise": Supervise(timeout=400.0)}),
     ]
     baseline = None
     for label, seed, faults, overrides in scenarios:
         machine = Machine(PROCESSORS, seed=seed, faults=faults)
-        result = reliable_reduce_tree(
-            tree, eval_arith_node, machine=machine, **overrides
+        result = reduce_tree(
+            tree, eval_arith_node, machine=machine, reliable=Reliable(),
+            **overrides
         )
         m = result.metrics
         table.add(
@@ -66,8 +68,9 @@ def main() -> None:
             m.rel_retransmits, m.rel_acks,
             m.rel_duplicates_suppressed, m.rel_unreachable,
         )
-        if result.engine.rel_state.unreachable:
-            nodes = sorted({n for _, n, _ in result.engine.rel_state.unreachable})
+        unreachable = rel_state(result.engine).unreachable
+        if unreachable:
+            nodes = sorted({n for _, n, _ in unreachable})
             print(f"  [{label}] destinations reported unreachable: "
                   f"{', '.join(f'p{n}' for n in nodes)}")
         if baseline is None:

@@ -22,7 +22,7 @@ prints is exactly reproducible.
 Run:  python examples/supervised_reduce.py
 """
 
-from repro import supervised_reduce_tree
+from repro import Supervise, reduce_tree
 from repro.analysis import Table
 from repro.apps.arithmetic import arithmetic_tree, eval_arith_node
 from repro.machine import FaultPlan, Machine
@@ -50,8 +50,9 @@ def main() -> None:
     baseline = None
     for label, faults, overrides in scenarios:
         machine = Machine(PROCESSORS, seed=SEED, faults=faults)
-        result = supervised_reduce_tree(
-            tree, eval_arith_node, machine=machine, **overrides
+        result = reduce_tree(
+            tree, eval_arith_node, machine=machine,
+            supervise=Supervise(**overrides),
         )
         m = result.metrics
         table.add(label, result.value, m.makespan, m.crashes,

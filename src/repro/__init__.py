@@ -16,12 +16,13 @@ from repro.core import (
     AppliedMotif,
     ComposedMotif,
     Motif,
+    Reliable,
     RunResult,
+    Supervise,
     default_registry,
     get_motif,
     reduce_tree,
     reliable_reduce_tree,
-    supervised_reduce_tree,
 )
 from repro.machine import Machine
 from repro.strand import Program, parse_program, run_query
@@ -35,7 +36,8 @@ __all__ = [
     "RunResult",
     "reduce_tree",
     "reliable_reduce_tree",
-    "supervised_reduce_tree",
+    "Reliable",
+    "Supervise",
     "get_motif",
     "default_registry",
     "Machine",

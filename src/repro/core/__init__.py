@@ -2,13 +2,14 @@
 with composition, plus the high-level run API."""
 
 from repro.core.api import (
+    Reliable,
     RunResult,
+    Supervise,
     TREE_STRATEGIES,
     as_application,
     reduce_tree,
     reliable_reduce_tree,
     run_applied,
-    supervised_reduce_tree,
 )
 from repro.core.motif import AppliedMotif, ComposedMotif, Motif, library_from_source
 from repro.core.pragmas import RANDOM, TASK, annotate, is_pragma_goal, pragma_name
@@ -22,7 +23,8 @@ __all__ = [
     "RunResult",
     "reduce_tree",
     "reliable_reduce_tree",
-    "supervised_reduce_tree",
+    "Reliable",
+    "Supervise",
     "run_applied",
     "as_application",
     "TREE_STRATEGIES",

@@ -25,10 +25,13 @@ from repro.core.motif import AppliedMotif, Motif, library_from_source
 from repro.errors import ReproError
 from repro.machine.metrics import MachineMetrics
 from repro.machine.simulator import Machine
+from repro.motifs.reliable import Reliable
+from repro.motifs.supervisor import Supervise
 from repro.motifs.tree_reduce1 import (
     sequential_tree_motif,
     static_tree_motif,
     tree_reduce_1,
+    tree_reduce_1_entry,
 )
 from repro.motifs.tree_reduce2 import tree_reduce_2
 from repro.apps import trees
@@ -42,7 +45,8 @@ __all__ = [
     "run_applied",
     "reduce_tree",
     "reliable_reduce_tree",
-    "supervised_reduce_tree",
+    "Reliable",
+    "Supervise",
     "TREE_STRATEGIES",
     "as_application",
 ]
@@ -62,66 +66,32 @@ class RunResult:
     applied: AppliedMotif
 
 
-# Motif stacks are stateless apart from their application memo, so one
-# instance per parameterization lets repeated ``reduce_tree`` calls share
-# parsed libraries, applied programs, and (transitively) compiled programs.
+# Motif stacks are stateless (their application memo lives on the inputs),
+# so one instance per parameterization lets repeated ``reduce_tree`` calls
+# share parsed libraries, applied programs, and (transitively) compiled
+# programs.
 #
-# The caches are *bounded*: each cached stack pins its applied programs and
-# compiled rule plans, so an unbounded cache in a long-lived process (a
-# notebook sweeping parameters, a benchmark harness) grows without limit.
-# The bounds are sized generously above any realistic number of concurrent
-# parameterizations — eviction only re-pays one stack construction.
-_STACK_CACHE_SIZE = 32  # distinct (server_library, …) parameterizations
+# The caches are *bounded*, so a long-lived process (a notebook sweeping
+# parameters, a benchmark harness) does not accumulate stacks without
+# limit.  The bounds are sized generously above any realistic number of
+# concurrent parameterizations — eviction only re-pays one stack
+# construction.
+_STACK_CACHE_SIZE = 32  # distinct (strategy, server_library, …) parameterizations
 _APPLICATION_CACHE_SIZE = 256  # distinct application names
 
 
 @lru_cache(maxsize=_STACK_CACHE_SIZE)
-def _tr1_stack(server_library: str, termination: bool) -> Motif:
-    return tree_reduce_1(server_library=server_library, termination=termination)
-
-
-@lru_cache(maxsize=_STACK_CACHE_SIZE)
-def _tr2_stack(server_library: str) -> Motif:
-    return tree_reduce_2(server_library=server_library)
-
-
-@lru_cache(maxsize=_STACK_CACHE_SIZE)
-def _static_stack() -> Motif:
-    return static_tree_motif()
-
-
-@lru_cache(maxsize=_STACK_CACHE_SIZE)
-def _sequential_stack() -> Motif:
+def _stack(strategy: str, server_library: str, termination: bool,
+           reliable: Reliable | None, supervise: Supervise | None) -> Motif:
+    """The motif stack of one :func:`reduce_tree` parameterization."""
+    if strategy == "tr1":
+        return tree_reduce_1(server_library, termination,
+                             reliable=reliable, supervise=supervise)
+    if strategy == "tr2":
+        return tree_reduce_2(server_library=server_library)
+    if strategy == "static":
+        return static_tree_motif()
     return sequential_tree_motif()
-
-
-@lru_cache(maxsize=_STACK_CACHE_SIZE)
-def _supervised_stack(
-    retries: int, timeout: float, backoff: int, fallback: str,
-    server_library: str,
-) -> Motif:
-    from repro.motifs.supervisor import supervised_tree_reduce
-
-    return supervised_tree_reduce(
-        retries=retries, timeout=timeout, backoff=backoff,
-        fallback=fallback, server_library=server_library,
-    )
-
-
-@lru_cache(maxsize=_STACK_CACHE_SIZE)
-def _reliable_stack(
-    retries: int, timeout: float, backoff: int, max_timeout: float,
-    supervise: bool, sup_retries: int, sup_timeout: float,
-    fallback: str, server_library: str,
-) -> Motif:
-    from repro.motifs.reliable import reliable_tree_reduce
-
-    return reliable_tree_reduce(
-        retries=retries, timeout=timeout, backoff=backoff,
-        max_timeout=max_timeout, supervise=supervise,
-        sup_retries=sup_retries, sup_timeout=sup_timeout,
-        fallback=fallback, server_library=server_library,
-    )
 
 
 @lru_cache(maxsize=_APPLICATION_CACHE_SIZE)
@@ -175,6 +145,7 @@ def run_applied(
         watched=watched,
         library=applied.library_indicators,
         services=applied.services,
+        builtins=applied.builtins,
         max_reductions=max_reductions,
         **engine_options,
     )
@@ -200,8 +171,9 @@ def reduce_tree(
     epoch_window: float | None = None,
     server_library: str = "ports",
     termination: bool = True,
+    reliable: Reliable | None = None,
+    supervise: Supervise | None = None,
     eval_cost: float | Callable[..., float] = 1.0,
-    watch_eval: bool = True,
     max_reductions: int = 5_000_000,
     **engine_options: Any,
 ) -> RunResult:
@@ -214,15 +186,38 @@ def reduce_tree(
     * ``"static"``     — static partition (§3.1)
     * ``"sequential"`` — single-processor fold (baseline)
 
+    ``tr1`` takes two fault-tolerance layers (see
+    :func:`~repro.motifs.tree_reduce1.tree_reduce_1`), each at its fixed
+    place in the stack and without the termination stage:
+
+    * ``reliable=Reliable(...)`` — acked, retransmitted, deduplicated
+      delivery just under Server.  Run on a :class:`Machine` with a lossy
+      :class:`~repro.machine.faults.FaultPlan`; ``metrics`` then carry the
+      reliability counters, and destinations the protocol gave up on are
+      listed in ``rel_state(result.engine).unreachable``
+      (:func:`repro.motifs.reliable.rel_state`).
+    * ``supervise=Supervise(...)`` — subtree attempts raced against
+      timeouts, retried, and degraded to a fallback, just over ``Tree1′``;
+      the entry message is ``sup_run(Tree, Value)``.
+    * both — the run uses ``abandon_stragglers=True``: attempts superseded
+      by a Supervise retry may be permanently stranded by message loss,
+      and are abandoned at quiescence rather than reported as a deadlock.
+
     ``backend="parallel"`` shards the virtual processors across ``workers``
     OS processes (see :mod:`repro.machine.parallel`); evaluators must then
     be Strand source or a :class:`Program` — Python callables cannot be
-    shipped to worker processes.  ``backend``/``workers``/``epoch_window``
+    shipped to worker processes — and neither layer is supported there
+    (their timers are refused).  ``backend``/``workers``/``epoch_window``
     are ignored when an explicit ``machine`` is passed (configure it there
     instead).
     """
     if strategy not in TREE_STRATEGIES:
         raise ReproError(f"unknown strategy {strategy!r}; choose from {TREE_STRATEGIES}")
+    if (reliable is not None or supervise is not None) and strategy != "tr1":
+        raise ReproError(
+            f"the Reliable and Supervise layers compose with strategy 'tr1' "
+            f"only, not {strategy!r}"
+        )
     if machine is None:
         machine = Machine(
             1 if strategy == "sequential" else processors,
@@ -241,19 +236,15 @@ def reduce_tree(
         return RunResult(tree.value, machine.metrics(), {}, engine, applied)
 
     value_var = Var("Value")
-    watched = [("eval", 4)] if watch_eval else []
-
+    applied = _stack(strategy, server_library, termination,
+                     reliable, supervise).apply(application)
     if strategy == "tr1":
-        motif = _tr1_stack(server_library, termination)
-        applied = motif.apply(application)
-        if termination:
-            inner = Struct("boot", (trees.tree_term(tree), value_var, Var("Done")))
-        else:
-            inner = Struct("reduce", (trees.tree_term(tree), value_var))
+        inner = tree_reduce_1_entry(trees.tree_term(tree), value_var, termination,
+                                    reliable=reliable, supervise=supervise)
         goal: Term = Struct("create", (machine.size, inner))
+        if reliable is not None and supervise is not None:
+            engine_options.setdefault("abandon_stragglers", True)
     elif strategy == "tr2":
-        motif = _tr2_stack(server_library)
-        applied = motif.apply(application)
         import random as _random
 
         # Labelling must be a function of the *machine's* seed, not the
@@ -264,12 +255,8 @@ def reduce_tree(
         )
         goal = Struct("create", (machine.size, Struct("init", (table, value_var))))
     elif strategy == "static":
-        motif = _static_stack()
-        applied = motif.apply(application)
         goal = Struct("sreduce", (trees.tree_term(tree), value_var, 1, machine.size))
     else:  # sequential
-        motif = _sequential_stack()
-        applied = motif.apply(application)
         goal = Struct("reduce_seq", (trees.tree_term(tree), value_var))
 
     if setup is not None:
@@ -277,144 +264,25 @@ def reduce_tree(
         applied.user_names.add("eval")
 
     engine, metrics = run_applied(
-        applied, goal, machine, watched=watched,
+        applied, goal, machine, watched=[("eval", 4)],
         max_reductions=max_reductions, **engine_options,
     )
     value = deref(value_var)
     if type(value) is Var:
+        hint = ""
+        if reliable is not None:
+            hint = (" (destination permanently unreachable? check "
+                    "rel_state(engine).unreachable)")
+        elif supervise is not None:
+            hint = " (was the supervision channel itself severed?)"
         raise ReproError(
-            f"tree reduction under {strategy!r} finished without binding the result"
+            f"tree reduction under {strategy!r} finished without binding "
+            f"the result{hint}"
         )
     return RunResult(to_python(value), metrics, {"Value": value_var}, engine, applied)
 
 
-def reliable_reduce_tree(
-    tree: trees.Tree,
-    evaluator: str | Callable | Program,
-    *,
-    processors: int = 4,
-    machine: Machine | None = None,
-    seed: int = 0,
-    topology: str | None = None,
-    retries: int = 6,
-    timeout: float = 30.0,
-    backoff: int = 2,
-    max_timeout: float = 240.0,
-    supervise: bool = False,
-    sup_retries: int = 3,
-    sup_timeout: float = 600.0,
-    fallback: str = "0",
-    server_library: str = "ports",
-    eval_cost: float | Callable[..., float] = 1.0,
-    max_reductions: int = 5_000_000,
-    **engine_options: Any,
-) -> RunResult:
-    """Reduce a binary tree under the Reliable delivery stack
-    (``Server ∘ Reliable ∘ Rand ∘ Tree1``), optionally with the Supervise
-    layer between Rand and Tree1 (``supervise=True``).
-
-    Pass a :class:`Machine` built with a lossy
-    :class:`~repro.machine.faults.FaultPlan` (message drops, duplicates,
-    partitions) to exercise the protocol; the result's ``metrics`` then
-    carry the reliability counters (retransmits, acks, duplicates
-    suppressed, unreachable reports), and destinations the protocol gave
-    up on are listed in ``result.engine.rel_state.unreachable``.  The
-    supervised variant runs with ``abandon_stragglers=True``: attempts
-    superseded by a Supervise retry may be permanently stranded by message
-    loss, and are abandoned at quiescence rather than reported as a
-    deadlock.
-    """
-    if machine is None:
-        machine = Machine(processors, topology=topology, seed=seed)
-    application, setup = as_application(evaluator, cost=eval_cost)
-    if isinstance(tree, trees.Leaf):
-        applied = AppliedMotif(program=application)
-        engine = StrandEngine(application, machine=machine)
-        return RunResult(tree.value, machine.metrics(), {}, engine, applied)
-    motif = _reliable_stack(
-        retries, timeout, backoff, max_timeout,
-        supervise, sup_retries, sup_timeout, fallback, server_library,
-    )
-    applied = motif.apply(application)
-    if setup is not None:
-        applied.foreign_setup.append(setup)
-        applied.user_names.add("eval")
-    value_var = Var("Value")
-    entry = "sup_run" if supervise else "reduce"
-    goal = Struct(
-        "create",
-        (machine.size, Struct(entry, (trees.tree_term(tree), value_var))),
-    )
-    engine, metrics = run_applied(
-        applied, goal, machine, watched=[("eval", 4)],
-        max_reductions=max_reductions,
-        abandon_stragglers=supervise,
-        **engine_options,
-    )
-    value = deref(value_var)
-    if type(value) is Var:
-        raise ReproError(
-            "reliable tree reduction finished without binding the result "
-            "(destination permanently unreachable? check "
-            "engine.rel_state.unreachable)"
-        )
-    return RunResult(to_python(value), metrics, {"Value": value_var}, engine, applied)
-
-
-def supervised_reduce_tree(
-    tree: trees.Tree,
-    evaluator: str | Callable | Program,
-    *,
-    processors: int = 4,
-    machine: Machine | None = None,
-    seed: int = 0,
-    topology: str | None = None,
-    retries: int = 3,
-    timeout: float = 600.0,
-    backoff: int = 2,
-    fallback: str = "0",
-    server_library: str = "ports",
-    eval_cost: float | Callable[..., float] = 1.0,
-    max_reductions: int = 5_000_000,
-    **engine_options: Any,
-) -> RunResult:
-    """Reduce a binary tree under the Supervise motif stack
-    (``Server ∘ Rand ∘ Supervise ∘ Tree1′``) — fault-tolerant Tree-Reduce-1.
-
-    Pass a :class:`Machine` constructed with a
-    :class:`~repro.machine.faults.FaultPlan` to run against injected
-    processor crashes and message faults; the result's ``metrics`` then
-    carry the fault and supervision counters.  ``timeout`` must exceed the
-    fault-free completion time of the largest supervised subcomputation, or
-    healthy attempts will be retried (and ultimately degraded to
-    ``fallback``).
-    """
-    if machine is None:
-        machine = Machine(processors, topology=topology, seed=seed)
-    application, setup = as_application(evaluator, cost=eval_cost)
-    if isinstance(tree, trees.Leaf):
-        applied = AppliedMotif(program=application)
-        engine = StrandEngine(application, machine=machine)
-        return RunResult(tree.value, machine.metrics(), {}, engine, applied)
-    motif = _supervised_stack(retries, timeout, backoff, fallback, server_library)
-    applied = motif.apply(application)
-    if setup is not None:
-        applied.foreign_setup.append(setup)
-        applied.user_names.add("eval")
-    value_var = Var("Value")
-    goal = Struct(
-        "create",
-        (machine.size, Struct("sup_run", (trees.tree_term(tree), value_var))),
-    )
-    engine, metrics = run_applied(
-        applied, goal, machine, watched=[("eval", 4)],
-        max_reductions=max_reductions,
-        **engine_options,
-    )
-    value = deref(value_var)
-    if type(value) is Var:
-        raise ReproError(
-            "supervised tree reduction finished without binding the result "
-            "(was the supervision channel itself severed?)"
-        )
-    return RunResult(to_python(value), metrics, {"Value": value_var}, engine, applied)
+def reliable_reduce_tree(tree: trees.Tree, evaluator: str | Callable | Program,
+                         **options: Any) -> RunResult:
+    """``reduce_tree(tree, evaluator, reliable=Reliable(), **options)``."""
+    return reduce_tree(tree, evaluator, reliable=Reliable(), **options)

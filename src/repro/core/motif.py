@@ -5,11 +5,18 @@ library program; applying it to an application ``A`` yields the program
 
     M(A) = T(A) ∪ L .
 
+Here a motif is a triple ``M = (T, L, B)``: ``B`` is a table of runtime
+builtins its library calls (``{(name, arity): fn}``, each function shaped
+like the core builtins in :mod:`repro.strand.builtins`).  Applying a stack
+gathers the tables of its stages, and the engine that runs the output
+merges them into its own builtin table, so motif-specific primitives stay
+with their motif instead of in the runtime core.
+
 Because the output is itself a program, motifs compose:
 
     (M₂ ∘ M₁)(A) = M₂(M₁(A)) = T₂( T₁(A) ∪ L₁ ) ∪ L₂ .
 
-Beyond the pair, a :class:`Motif` carries the *runtime metadata* an engine
+Beyond the triple, a :class:`Motif` carries the *runtime metadata* an engine
 needs to execute its output faithfully: which procedures are perpetual
 services (so quiescence detection can close their ports), which foreign
 procedures its library expects, and which query shape starts a computation.
@@ -22,10 +29,13 @@ a fresh stack per call), so this layer memoizes at two levels:
 * **library parsing** — :func:`library_from_source` parses each distinct
   library source once per process;
 * **motif outputs** — ``Motif.apply`` caches the transformed-and-linked
-  result keyed by the *identity and version* of the input program, so
-  re-applying a (composed) stack to the same application re-uses the same
-  output :class:`Program` object — which in turn lets the engine's
-  compile-layer cache (:func:`repro.strand.compile.compile_program`) hit.
+  result *on the input object*, keyed by the motif and stamped with the
+  input program's version, so re-applying a (composed) stack to the same
+  application re-uses the same output :class:`Program` object — which in
+  turn lets the engine's compile-layer cache
+  (:func:`repro.strand.compile.compile_program`) hit.  The memo lives and
+  dies with its input: a dropped application frees every stage result
+  derived from it, however long the motif itself lives.
 
 Transformations are pure (they never mutate their input), so sharing cached
 programs is safe; callers receive a :meth:`AppliedMotif.fork` so appending
@@ -34,10 +44,12 @@ foreign hooks or user names never pollutes the cache.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.errors import MotifError
+from repro.strand.builtins import BUILTINS
 from repro.strand.foreign import ForeignRegistry
 from repro.strand.parser import parse_program
 from repro.strand.program import Program, rule_key
@@ -88,14 +100,16 @@ class AppliedMotif:
 
     Carries everything needed to run the program: the program itself, the
     service indicators for quiescence handling, the foreign setup hooks,
-    and the *library indicator set* — every procedure the user did not
-    write — used for the overhead split of experiment E8.
+    the builtins the stack's motifs bring, and the *library indicator set*
+    — every procedure the user did not write — used for the overhead split
+    of experiment E8.
     """
 
     program: Program
     services: set[tuple[str, int]] = field(default_factory=set)
     foreign_setup: list[Callable[[ForeignRegistry], None]] = field(default_factory=list)
     user_names: set[str] = field(default_factory=set)
+    builtins: dict[tuple[str, int], Callable] = field(default_factory=dict)
 
     @property
     def library_indicators(self) -> set[tuple[str, int]]:
@@ -112,6 +126,7 @@ class AppliedMotif:
             services=set(self.services),
             foreign_setup=list(self.foreign_setup),
             user_names=set(self.user_names),
+            builtins=dict(self.builtins),
         )
 
     def make_foreign(self, base: ForeignRegistry | None = None) -> ForeignRegistry:
@@ -122,7 +137,8 @@ class AppliedMotif:
 
 
 class Motif:
-    """A named ``(transformation, library)`` pair plus runtime metadata.
+    """A named ``(transformation, library, builtins)`` triple plus runtime
+    metadata.
 
     Parameters
     ----------
@@ -137,6 +153,9 @@ class Motif:
         the paper's ``Rand``).
     services:
         Indicators of perpetual service processes introduced by this motif.
+    builtins:
+        The ``B`` of the triple: ``{(name, arity): fn}`` runtime primitives
+        the library calls.  They may not shadow a core builtin.
     foreign_setup:
         Hook called with the foreign registry before running, to register
         Python procedures the library depends on.
@@ -150,6 +169,7 @@ class Motif:
         *,
         services: Iterable[tuple[str, int]] = (),
         foreign_setup: Callable[[ForeignRegistry], None] | None = None,
+        builtins: Mapping[tuple[str, int], Callable] | None = None,
     ):
         self.name = name
         self.transformation = transformation or Identity()
@@ -166,18 +186,20 @@ class Motif:
                 rule.motif = name
         self.services = set(services)
         self.foreign_setup = foreign_setup
-        # Application memo: (id(input), program version) -> canonical
-        # AppliedMotif.  ``_apply_pins`` holds strong references to the
-        # keyed inputs so ids are never recycled under the cache.
-        self._apply_cache: dict[tuple[int, int], AppliedMotif] = {}
-        self._apply_pins: list[Program | AppliedMotif] = []
+        self.builtins = dict(builtins or {})
+        shadowed = sorted(set(self.builtins) & set(BUILTINS))
+        if shadowed:
+            raise MotifError(
+                f"motif {name!r} builtins shadow core builtins: "
+                + ", ".join(f"{n}/{a}" for n, a in shadowed)
+            )
 
     # -- application ---------------------------------------------------------
     def apply(self, application: Program | AppliedMotif) -> AppliedMotif:
         """``M(A) = T(A) ∪ L`` with metadata accumulation.
 
-        Memoized on the identity (and version) of ``application``: applying
-        the same motif to the same program twice performs the
+        Memoized on ``application`` itself (and its program's version):
+        applying the same motif to the same program twice performs the
         transformation, linking, and library parsing once.  The returned
         :class:`AppliedMotif` is a fork, safe for the caller to extend.
         """
@@ -191,14 +213,18 @@ class Motif:
             if isinstance(application, AppliedMotif)
             else application
         )
-        key = (id(application), program.version)
-        hit = self._apply_cache.get(key)
-        if hit is not None:
+        # The memo maps motif -> (version, result).  Weak keys: a motif
+        # that is dropped (an evicted stack) must not stay reachable from a
+        # long-lived input such as a shared empty application.
+        memo = application.__dict__.get("_motif_memo")
+        if memo is None:
+            memo = application._motif_memo = weakref.WeakKeyDictionary()
+        hit = memo.get(self)
+        if hit is not None and hit[0] == program.version:
             MOTIF_STATS["apply_hits"] += 1
-            return hit
+            return hit[1]
         result = self._apply_impl(application)
-        self._apply_cache[key] = result
-        self._apply_pins.append(application)
+        memo[self] = (program.version, result)
         return result
 
     def _apply_impl(self, application: Program | AppliedMotif) -> AppliedMotif:
@@ -229,6 +255,7 @@ class Motif:
             foreign_setup=list(applied.foreign_setup)
             + ([self.foreign_setup] if self.foreign_setup else []),
             user_names=applied.user_names,
+            builtins={**applied.builtins, **self.builtins},
         )
 
     def __call__(self, application: Program | AppliedMotif) -> AppliedMotif:

@@ -70,17 +70,15 @@ def _populate(registry: MotifRegistry) -> None:
         tree1_motif,
         tree_reduce_1,
     )
-    from repro.motifs.reliable import reliable_motif, reliable_tree_reduce
-    from repro.motifs.supervisor import supervise_motif, supervised_tree_reduce
+    from repro.motifs.reliable import reliable_motif
+    from repro.motifs.supervisor import supervise_motif
     from repro.motifs.tree_reduce2 import tree_reduce_2, tree_reduce_motif
 
     registry.register("server", server_motif)
     registry.register("supervise", supervise_motif)
-    registry.register("supervised-tree-reduce", supervised_tree_reduce)
     registry.register("rand", rand_motif)
     registry.register("random", random_motif)
     registry.register("reliable", reliable_motif)
-    registry.register("reliable-tree-reduce", reliable_tree_reduce)
     registry.register("termination", short_circuit_motif)
     registry.register("tree1", tree1_motif)
     registry.register("tree-reduce-1", tree_reduce_1)

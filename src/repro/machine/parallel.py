@@ -63,8 +63,12 @@ Guarantees and limits
   have arrived), which extends the equivalence to time-racy programs.
 * Repeated parallel runs with the same seed and worker count are
   deterministic.
-* Fault injection (``Machine(faults=...)``) and per-motif profiling
-  (``profile=``) raise :class:`NotImplementedError` on this backend.
+* Fault injection (``Machine(faults=...)``), per-motif profiling
+  (``profile=``) and programs that arm virtual timers (a call of
+  ``after/2`` anywhere in the program, as in the Supervise and Reliable
+  motifs) raise :class:`NotImplementedError` on this backend: workers run
+  ahead of cross-shard deliveries between barriers, so a timer would fire
+  before the result it guards arrives.
 * ``max_reductions`` is global: workers report their reduction attempts at
   every barrier, the parent shrinks the next epoch's budgets as the sum
   nears the limit, and raises the sequential engine's error once the sum
@@ -97,6 +101,9 @@ __all__ = ["run_parallel", "shard_of", "freeze", "thaw", "WireContext",
 
 #: Shard id the coordinating parent uses in global variable ids.
 PARENT_SHARD = -1
+
+#: The virtual-timer builtin; programs that call it are refused.
+TIMER = ("after", 2)
 
 #: Reduction attempts a worker may make in one epoch before it returns to
 #: the barrier.  Median job time of the repository benchmark's
@@ -312,7 +319,6 @@ class _ShardContext(WireContext):
 
 def _apply_message(shard: _ShardContext, msg: tuple) -> None:
     """Commit one routed message on its destination shard."""
-    from repro.strand.builtins import BUILTINS
     from repro.strand.terms import Struct, deref
 
     time, _src_shard, _seq, kind, payload = msg
@@ -322,7 +328,7 @@ def _apply_message(shard: _ShardContext, msg: tuple) -> None:
         goal = thaw(ops, shard)
         goal_d = deref(goal)
         indicator_lib = None
-        if type(goal_d) is Struct and goal_d.indicator in BUILTINS:
+        if type(goal_d) is Struct and goal_d.indicator in engine.builtins:
             indicator_lib = lib
         engine.spawn(goal, dst, ready=ready, lib=indicator_lib)
     elif kind == "bind":
@@ -394,6 +400,7 @@ class _WorkerState:
             reduction_cost=options["reduction_cost"],
             indexing=options["indexing"],
             abandon_stragglers=options["abandon_stragglers"],
+            builtins=options["builtins"],
         )
         self.shard = _ShardContext(shard_id, workers, self.engine)
         self.engine.shard = self.shard
@@ -423,7 +430,7 @@ class _WorkerState:
         engine = self.engine
         suspended = engine.scheduler.suspended
         all_services = all(
-            p.goal.indicator in engine.services for p in suspended.values()
+            p.indicator in engine.services for p in suspended.values()
         )
         open_ports = any(not port.closed for port in engine.ports)
         max_clock = max(
@@ -716,6 +723,14 @@ def run_parallel(engine) -> MachineMetrics:
     if engine.profile is not None:
         raise NotImplementedError(
             "per-motif profiling is not supported on the parallel backend"
+        )
+    if any(TIMER in callees for callees in engine.compiled.symbols.calls.values()):
+        # A worker runs to local quiescence between barriers, so its clock
+        # passes a pending timer before cross-shard results for that time
+        # have arrived: timeouts fire early and Supervise degrades healthy
+        # attempts to the fallback.
+        raise NotImplementedError(
+            "virtual timers (after/2) are not supported on the parallel backend"
         )
     workers = machine.workers or 1
     processors = machine.size

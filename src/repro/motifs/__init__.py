@@ -8,9 +8,10 @@ from repro.motifs.graph import graph_motif, sssp_goals
 from repro.motifs.monitor import monitor_motif
 from repro.motifs.random_map import RandTransformation, rand_motif, random_motif
 from repro.motifs.reliable import (
+    Reliable,
     ReliableTransformation,
+    rel_state,
     reliable_motif,
-    reliable_tree_reduce,
 )
 from repro.motifs.server import (
     MERGE_LIBRARY,
@@ -19,9 +20,9 @@ from repro.motifs.server import (
     server_transformation,
 )
 from repro.motifs.supervisor import (
+    Supervise,
     SuperviseTransformation,
     supervise_motif,
-    supervised_tree_reduce,
 )
 from repro.motifs.termination import ShortCircuit, short_circuit_motif
 from repro.motifs.tree_reduce1 import (
@@ -49,13 +50,14 @@ __all__ = [
     "rand_motif",
     "random_motif",
     "RandTransformation",
+    "Reliable",
     "reliable_motif",
-    "reliable_tree_reduce",
+    "rel_state",
     "ReliableTransformation",
     "short_circuit_motif",
     "ShortCircuit",
+    "Supervise",
     "supervise_motif",
-    "supervised_tree_reduce",
     "SuperviseTransformation",
     "tree1_motif",
     "tree_reduce_1",

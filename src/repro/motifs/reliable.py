@@ -22,12 +22,16 @@ Rand and Server::
   retransmit timer with capped exponential backoff.  Acks are variable
   bindings, which the failure model delivers reliably — only the ``rmsg``
   itself can be lost.  When the retry cap is exhausted the destination is
-  reported on the engine's status stream (``engine.rel_state.unreachable``,
+  reported on the engine's status stream (``rel_state(engine).unreachable``,
   via ``rel_dead/2``) instead of retransmitting forever.
 * **Receive side** — ``rel_accept/2`` consults the engine's seen-set and
   classifies each token ``new`` or ``dup``; duplicates (retransmissions
   that crossed their own ack, or network-duplicated deliveries) are acked
   and discarded without re-dispatching the payload.
+* **Builtins** — ``rel_seq``, ``rel_accept``, ``rel_ack``, ``rel_note`` and
+  ``rel_dead`` belong to this motif (``M = (T, L, B)``): the engine finds
+  them only in programs the motif was applied to, and their state lives
+  in the engine's per-motif state (:func:`rel_state`).
 
 Composition with Server is what gives ``rsend`` its published
 ``rsend(Node, Msg, DT)`` form: the library's ``rel_post`` calls
@@ -49,22 +53,80 @@ Guarantees and limits (documented in ``docs/MOTIFS.md``):
 
 from __future__ import annotations
 
-from repro.core.motif import ComposedMotif, Motif
-from repro.errors import TransformError
-from repro.motifs.random_map import rand_motif
-from repro.motifs.server import server_motif
-from repro.motifs.supervisor import SUP_RUN, TREE1_SUP_LIBRARY, supervise_motif
-from repro.motifs.tree_reduce1 import tree1_motif
+from dataclasses import dataclass
+
+from repro.core.motif import Motif
+from repro.errors import StrandError, TransformError
+from repro.strand.builtins import need_bound, need_int
 from repro.strand.program import Program, Rule
 from repro.strand.terms import Atom, Cons, Struct, Term, Var, deref, term_eq
 from repro.transform.transformation import Transformation
 
 __all__ = [
+    "Reliable",
+    "ReliableState",
     "ReliableTransformation",
     "reliable_motif",
-    "reliable_tree_reduce",
+    "rel_state",
+    "RELIABLE_BUILTINS",
     "RELIABLE_LIBRARY",
 ]
+
+
+@dataclass(frozen=True)
+class Reliable:
+    """Parameters of the Reliable layer (``reduce_tree(reliable=...)``).
+
+    ``timeout`` is the first retransmit deadline in virtual time — it must
+    exceed a send/ack round trip, or healthy traffic retransmits
+    spuriously (harmless, dedup absorbs it, but it inflates the message
+    count).  Each retry multiplies the deadline by ``backoff`` up to
+    ``max_timeout``; after ``retries`` unanswered posts the destination is
+    reported unreachable.  The retry budget must outlast the longest
+    partition the deployment should ride through:
+    ``sum(min(timeout * backoff^i, max_timeout))`` over the retries is the
+    time the protocol keeps trying.
+    """
+
+    retries: int = 6
+    timeout: float = 30.0
+    backoff: int = 2
+    max_timeout: float = 240.0
+
+    def __post_init__(self):
+        if self.retries < 0:
+            raise ValueError(f"retries must be >= 0, got {self.retries}")
+        if self.timeout <= 0 or self.max_timeout < self.timeout:
+            raise ValueError(
+                f"need 0 < timeout <= max_timeout, got {self.timeout}, "
+                f"{self.max_timeout}"
+            )
+
+
+class ReliableState:
+    """Per-engine bookkeeping for the Reliable motif's builtins.
+
+    ``next_seq`` assigns per-(sender processor, destination) sequence
+    numbers; ``seen`` is the receive-side dedup set of delivered
+    ``(sender, destination, seq)`` tokens; ``unreachable`` is the status
+    stream — one entry per destination the protocol gave up on, in
+    delivery order."""
+
+    def __init__(self):
+        self.next_seq: dict[tuple[int, int], int] = {}
+        self.seen: set[tuple[int, int, int]] = set()
+        self.unreachable: list[tuple[int, int, int]] = []
+
+
+def rel_state(engine) -> ReliableState:
+    """The Reliable motif's state on ``engine`` (created on first use);
+    ``rel_state(result.engine).unreachable`` lists the ``(sender,
+    destination, seq)`` tokens of the messages the protocol gave up on."""
+    state = engine.motif_state.get("reliable")
+    if state is None:
+        state = engine.motif_state["reliable"] = ReliableState()
+    return state
+
 
 RELIABLE_LIBRARY = """
 % Reliable library.  rsend/2 is the acked send: draw a sequence token,
@@ -232,86 +294,113 @@ class ReliableTransformation(Transformation):
         return Rule(rule.head, rule.guards, body)
 
 
+# ---------------------------------------------------------------------------
+# Builtins (the motif's B): sequence tokens, dedup, acks, accounting
+# ---------------------------------------------------------------------------
+
+def _rel_seq(engine, process, args, now):
+    """``rel_seq(Node, Tok)`` — assign the next per-(sender, destination)
+    sequence number and bind ``Tok`` to the send token
+    ``sid(Sender, Node, Seq)`` that identifies this logical message across
+    retransmissions."""
+    node = need_int(args[0], "rel_seq/2 node")
+    key = (process.proc, node)
+    state = rel_state(engine)
+    seq = state.next_seq.get(key, 0) + 1
+    state.next_seq[key] = seq
+    engine.bind(args[1], Struct("sid", (process.proc, node, seq)), process.proc, now)
+    return 1.0
+
+
+def _rel_token(term: Term, what: str) -> tuple[int, int, int]:
+    tok = need_bound(term)
+    if type(tok) is not Struct or tok.indicator != ("sid", 3):
+        raise StrandError(f"{what} needs a sid/3 token, got {tok!r}")
+    parts = tuple(deref(a) for a in tok.args)
+    if not all(isinstance(p, int) for p in parts):
+        raise StrandError(f"{what}: malformed token {tok!r}")
+    return parts  # type: ignore[return-value]
+
+
+def _rel_accept(engine, process, args, now):
+    """``rel_accept(Tok, Verdict)`` — receive-side dedup: bind ``Verdict``
+    to ``new`` the first time a token is seen and ``dup`` on every
+    redelivery (retransmission or network duplicate)."""
+    key = _rel_token(args[0], "rel_accept/2")
+    state = rel_state(engine)
+    if key in state.seen:
+        engine.machine.fault_stats.rel_duplicates_suppressed += 1
+        engine.machine.trace.record(
+            now, process.proc, "fault", f"rel:dup-suppressed p{key[0]}#{key[2]}"
+        )
+        verdict = Atom("dup")
+    else:
+        state.seen.add(key)
+        verdict = Atom("new")
+    engine.bind(args[1], verdict, process.proc, now)
+    return 1.0
+
+
+def _rel_ack(engine, process, args, now):
+    """``rel_ack(Ack)`` — acknowledge receipt by binding the sender's ack
+    variable (variable-binding wakeups are reliable in the failure model,
+    so the ack itself cannot be lost).  Idempotent: redeliveries re-ack the
+    already-bound variable at no cost."""
+    if engine.bind_if_unbound(args[0], Atom("ack"), process.proc, now):
+        engine.machine.fault_stats.rel_acks += 1
+    return 1.0
+
+
+def _rel_note(engine, process, args, now):
+    """Zero-cost reliability accounting hook: ``rel_note(retransmit)``."""
+    what = need_bound(args[0])
+    name = what.name if type(what) is Atom else str(what)
+    if name == "retransmit":
+        engine.machine.fault_stats.rel_retransmits += 1
+    else:
+        raise StrandError(f"rel_note/1: unknown event {name!r}")
+    engine.machine.trace.record(now, process.proc, "fault", f"rel:{name}")
+    return 0.0
+
+
+def _rel_dead(engine, process, args, now):
+    """``rel_dead(Node, Tok)`` — the retry cap is exhausted: report ``Node``
+    permanently unreachable on the engine's status stream
+    (``rel_state(engine).unreachable``) instead of hanging the sender."""
+    node = need_int(args[0], "rel_dead/2 node")
+    key = _rel_token(args[1], "rel_dead/2")
+    engine.machine.fault_stats.rel_unreachable += 1
+    rel_state(engine).unreachable.append(key)
+    engine.machine.trace.record(
+        now, process.proc, "fault", f"rel:unreachable p{node}#{key[2]}"
+    )
+    return 1.0
+
+
+RELIABLE_BUILTINS = {
+    ("rel_seq", 2): _rel_seq,
+    ("rel_accept", 2): _rel_accept,
+    ("rel_ack", 1): _rel_ack,
+    ("rel_note", 1): _rel_note,
+    ("rel_dead", 2): _rel_dead,
+}
+
+
 def reliable_motif(
     retries: int = 6,
     timeout: float = 30.0,
     backoff: int = 2,
     max_timeout: float = 240.0,
 ) -> Motif:
-    """The Reliable motif.
-
-    ``timeout`` is the first retransmit deadline in virtual time — it must
-    exceed a send/ack round trip, or healthy traffic retransmits
-    spuriously (harmless, dedup absorbs it, but it inflates the message
-    count).  Each retry multiplies the deadline by ``backoff`` up to
-    ``max_timeout``; after ``retries`` unanswered posts the destination is
-    reported unreachable.  The retry budget must outlast the longest
-    partition the deployment should ride through:
-    ``sum(min(timeout * backoff^i, max_timeout))`` over the retries is the
-    time the protocol keeps trying.
-    """
-    if retries < 0:
-        raise ValueError(f"retries must be >= 0, got {retries}")
-    if timeout <= 0 or max_timeout < timeout:
-        raise ValueError(
-            f"need 0 < timeout <= max_timeout, got {timeout}, {max_timeout}"
-        )
+    """The Reliable motif; the parameters are those of :class:`Reliable`
+    (checked there)."""
+    params = Reliable(retries, timeout, backoff, max_timeout)
     return Motif(
         name="reliable",
         transformation=ReliableTransformation(),
         library=RELIABLE_LIBRARY.format(
-            retries=retries, timeout=timeout, backoff=backoff,
-            max_timeout=max_timeout,
+            retries=params.retries, timeout=params.timeout,
+            backoff=params.backoff, max_timeout=params.max_timeout,
         ),
+        builtins=RELIABLE_BUILTINS,
     )
-
-
-def reliable_tree_reduce(
-    retries: int = 6,
-    timeout: float = 30.0,
-    backoff: int = 2,
-    max_timeout: float = 240.0,
-    supervise: bool = False,
-    sup_retries: int = 3,
-    sup_timeout: float = 600.0,
-    sup_backoff: int = 2,
-    fallback: str = "0",
-    server_library: str = "ports",
-) -> ComposedMotif:
-    """``Server ∘ Reliable ∘ Rand ∘ Tree1`` — or, with ``supervise=True``,
-    the full ``Server ∘ Reliable ∘ Rand ∘ Supervise ∘ Tree1′`` stack.
-
-    Without supervision the entry message is ``reduce(Tree, Value)`` (sent
-    via ``create/2``); Reliable recovers every lost dispatch message by
-    retransmission, so the stack completes at drop rates where the bare
-    Tree-Reduce-1 deadlocks.  With supervision the entry is
-    ``sup_run(Tree, Value)``: Reliable protects the attempt dispatch while
-    Supervise re-runs attempts whose *unprotected* dataflow (watch
-    requests on the monitor port) was severed — run the engine with
-    ``abandon_stragglers=True`` so superseded attempts stranded by message
-    loss do not read as a deadlock.
-    """
-    stack: list[Motif] = []
-    if supervise:
-        stack.append(
-            Motif(
-                name="tree1-sup",
-                library=TREE1_SUP_LIBRARY.format(retries=sup_retries),
-            )
-        )
-        stack.append(
-            supervise_motif(
-                outputs={("reduce", 2): 2},
-                entry=("reduce", 2),
-                timeout=sup_timeout,
-                backoff=sup_backoff,
-                fallback=fallback,
-            )
-        )
-        stack.append(rand_motif(extra_entries=((SUP_RUN, 2),)))
-    else:
-        stack.append(tree1_motif())
-        stack.append(rand_motif())
-    stack.append(reliable_motif(retries, timeout, backoff, max_timeout))
-    stack.append(server_motif(server_library))
-    return ComposedMotif(stack)

@@ -22,12 +22,18 @@ contract:
   retries with an exponentially backed-off timeout or degrades to the
   fallback.
 
-Composition: ``Supervised-Tree-Reduce = Server ∘ Rand ∘ Supervise ∘ Tree1′``
-where ``Tree1′`` is the five-line reduction with ``@ supervised(R)`` in
-place of ``@ random``.  The Supervise library dispatches attempts with
-``call(Copy) @ random``, so the Rand stage above it rewrites attempt
-placement exactly as it rewrites user code — the motif adds fault handling
-without its own placement machinery.
+* **Builtins** — ``sup_fresh/4`` (the fresh-variable attempt copy) and
+  ``sup_note/1`` (retry/degrade accounting) belong to this motif
+  (``M = (T, L, B)``); the general ``call/1``, ``after/2`` and
+  ``soft_bind/2`` it builds on are core builtins.
+
+Composition: ``reduce_tree(..., supervise=Supervise())`` runs
+``Server ∘ Rand ∘ Supervise ∘ Tree1′``, where ``Tree1′`` is the five-line
+reduction with ``@ supervised(R)`` in place of ``@ random`` (the stack is
+built by :func:`repro.motifs.tree_reduce1.tree_reduce_1`).  The Supervise
+library dispatches attempts with ``call(Copy) @ random``, so the Rand stage
+above it rewrites attempt placement exactly as it rewrites user code — the
+motif adds fault handling without its own placement machinery.
 
 Correctness under crashes rests on one invariant the stack establishes:
 *all cross-processor dataflow goes through supervised outputs*.  The entry
@@ -49,25 +55,47 @@ Caveats (documented limits of the model):
 
 from __future__ import annotations
 
-from repro.core.motif import ComposedMotif, Motif
-from repro.errors import TransformError
-from repro.motifs.random_map import rand_motif
-from repro.motifs.server import server_motif
+from dataclasses import dataclass
+
+from repro.core.motif import Motif
+from repro.errors import StrandError, TransformError
+from repro.strand.builtins import need_bound, need_int
 from repro.strand.program import Program, Rule
-from repro.strand.terms import Struct, Term, Var, deref
+from repro.strand.terms import Atom, Struct, Term, Var, deref, rename_term
 from repro.transform.callgraph import CallGraph
 from repro.transform.rewrite import strip_placement, with_placement
 from repro.transform.transformation import Transformation
 
 __all__ = [
+    "Supervise",
     "SuperviseTransformation",
     "supervise_motif",
-    "supervised_tree_reduce",
+    "SUPERVISE_BUILTINS",
     "SUPERVISE_LIBRARY",
     "TREE1_SUP_LIBRARY",
     "SUP_RUN",
     "SUPERVISE_SERVICES",
 ]
+
+
+@dataclass(frozen=True)
+class Supervise:
+    """Parameters of the Supervise layer (``reduce_tree(supervise=...)``).
+
+    Each supervised subtree gets ``retries`` re-attempts; the first attempt
+    times out after ``timeout`` virtual time units, each retry multiplies
+    that by ``backoff``, and a subtree whose every attempt timed out is
+    bound to ``fallback`` (Strand source text).  ``timeout`` must exceed
+    the fault-free completion time of the largest supervised
+    subcomputation (half the tree), or healthy attempts will be retried
+    and eventually degraded.
+    """
+
+    retries: int = 3
+    timeout: float = 600.0
+    backoff: int = 2
+    fallback: str = "0"
+
 
 SUP_RUN = "sup_run"
 
@@ -277,6 +305,51 @@ class SuperviseTransformation(Transformation):
         )
 
 
+# ---------------------------------------------------------------------------
+# Builtins (the motif's B): attempt copies and supervision accounting
+# ---------------------------------------------------------------------------
+
+def _sup_fresh(engine, process, args, now):
+    """``sup_fresh(Goal, K, Copy, CopyOut)`` — make a fresh-variable copy
+    of ``Goal`` (the retry-attempt primitive: each attempt gets private
+    variables so a late straggler from a previous attempt cannot collide
+    with the current one) and expose the copy and its K-th argument."""
+    goal = need_bound(args[0])
+    k = need_int(args[1], "sup_fresh/4 index")
+    if type(goal) is not Struct:
+        raise StrandError(f"sup_fresh/4 needs a structure goal, got {goal!r}")
+    if not 1 <= k <= len(goal.args):
+        raise StrandError(
+            f"sup_fresh/4 index {k} out of range 1..{len(goal.args)}"
+        )
+    copy = rename_term(goal)
+    engine.bind(args[2], copy, process.proc, now)
+    engine.bind(args[3], copy.args[k - 1], process.proc, now)
+    return 1.0
+
+
+def _sup_note(engine, process, args, now):
+    """Zero-cost supervision accounting hook: ``sup_note(retry)`` /
+    ``sup_note(degrade)`` bump the machine's fault counters."""
+    what = need_bound(args[0])
+    name = what.name if type(what) is Atom else str(what)
+    stats = engine.machine.fault_stats
+    if name == "retry":
+        stats.sup_retries += 1
+    elif name == "degrade":
+        stats.sup_degraded += 1
+    else:
+        raise StrandError(f"sup_note/1: unknown event {name!r}")
+    engine.machine.trace.record(now, process.proc, "fault", f"sup:{name}")
+    return 0.0
+
+
+SUPERVISE_BUILTINS = {
+    ("sup_fresh", 4): _sup_fresh,
+    ("sup_note", 1): _sup_note,
+}
+
+
 def supervise_motif(
     outputs: dict[tuple[str, int], int],
     entry: tuple[str, int],
@@ -307,40 +380,5 @@ def supervise_motif(
             spawn=spawn, backoff=backoff, fallback=fallback
         ),
         services=SUPERVISE_SERVICES,
-    )
-
-
-def supervised_tree_reduce(
-    retries: int = 3,
-    timeout: float = 600.0,
-    backoff: int = 2,
-    fallback: str = "0",
-    server_library: str = "ports",
-) -> ComposedMotif:
-    """``Supervised-Tree-Reduce = Server ∘ Rand ∘ Supervise ∘ Tree1′``.
-
-    The entry message is ``sup_run(Tree, Value)`` (sent via ``create/2``,
-    like ``boot`` in the termination stack); ``Value`` is bound to the
-    reduction result, or to the fallback for subtrees whose every attempt
-    timed out.  ``timeout`` must exceed the fault-free completion time of
-    the largest supervised subcomputation (half the tree), or healthy
-    attempts will be retried and eventually degraded.
-    """
-    tree1_sup = Motif(
-        name="tree1-sup", library=TREE1_SUP_LIBRARY.format(retries=retries)
-    )
-    supervise = supervise_motif(
-        outputs={("reduce", 2): 2},
-        entry=("reduce", 2),
-        timeout=timeout,
-        backoff=backoff,
-        fallback=fallback,
-    )
-    return ComposedMotif(
-        [
-            tree1_sup,
-            supervise,
-            rand_motif(extra_entries=((SUP_RUN, 2),)),
-            server_motif(server_library),
-        ]
+        builtins=SUPERVISE_BUILTINS,
     )

@@ -17,6 +17,13 @@ optionally with the short-circuit termination stage between Tree1 and Rand
 (Server ∘ Rand ∘ ShortCircuit ∘ Tree1), which lets the program halt its own
 server network instead of relying on engine quiescence.
 
+Two fault-tolerance layers compose into the same stack, each at the one
+place it can go: Reliable (acked, retransmitted delivery) just under
+Server, and Supervise (timed, retried subtree attempts) just over ``Tree1′``
+— Tree1 with ``@ supervised(R)`` in place of ``@ random``::
+
+    Server ∘ [Reliable ∘] Rand ∘ [Supervise ∘ Tree1′ | ShortCircuit ∘ Tree1]
+
 ``static_tree_motif`` implements the §3.1 alternative — "a static partition
 of the tree is probably ideal in the simple arithmetic example": subtrees
 are placed by recursive range splitting, with no server network at all.
@@ -27,8 +34,16 @@ from __future__ import annotations
 
 from repro.core.motif import ComposedMotif, Motif
 from repro.motifs.random_map import rand_motif
+from repro.motifs.reliable import Reliable, reliable_motif
 from repro.motifs.server import server_motif
+from repro.motifs.supervisor import (
+    SUP_RUN,
+    TREE1_SUP_LIBRARY,
+    Supervise,
+    supervise_motif,
+)
 from repro.motifs.termination import short_circuit_motif
+from repro.strand.terms import Struct, Term, Var
 
 __all__ = [
     "TREE1_LIBRARY",
@@ -36,6 +51,7 @@ __all__ = [
     "SEQUENTIAL_LIBRARY",
     "tree1_motif",
     "tree_reduce_1",
+    "tree_reduce_1_entry",
     "static_tree_motif",
     "sequential_tree_motif",
 ]
@@ -90,25 +106,71 @@ def tree1_motif() -> Motif:
 def tree_reduce_1(
     server_library: str = "ports",
     termination: bool = True,
+    *,
+    reliable: Reliable | None = None,
+    supervise: Supervise | None = None,
 ) -> ComposedMotif:
-    """``Tree-Reduce-1 = Server ∘ Rand ∘ [ShortCircuit ∘] Tree1``.
+    """``Tree-Reduce-1 = Server ∘ Rand ∘ [ShortCircuit ∘] Tree1``, with
+    optional Reliable and Supervise layers.
 
-    With ``termination=True`` (default) the program halts its own server
-    network via the short-circuit chain and the entry message is
+    Bare, ``termination=True`` (default) makes the program halt its own
+    server network via the short-circuit chain and the entry message is
     ``boot(Tree, Value)``; without it, rely on engine quiescence and the
-    entry message is ``reduce(Tree, Value)``.
+    entry message is ``reduce(Tree, Value)``.  Under either layer there is
+    no termination stage.  ``supervise`` replaces Tree1 by ``Supervise ∘
+    Tree1′`` and the entry message is ``sup_run(Tree, Value)``;
+    ``reliable`` adds Reliable just under Server and keeps the entry.
     """
-    stack: list[Motif] = [tree1_motif()]
-    if termination:
-        stack.append(
-            short_circuit_motif(
+    stack: list[Motif]
+    if supervise is not None:
+        stack = [
+            Motif(
+                name="tree1-sup",
+                library=TREE1_SUP_LIBRARY.format(retries=supervise.retries),
+            ),
+            supervise_motif(
+                outputs={("reduce", 2): 2},
                 entry=("reduce", 2),
-                sync_outputs={("eval", 4): 3},
+                timeout=supervise.timeout,
+                backoff=supervise.backoff,
+                fallback=supervise.fallback,
+            ),
+            rand_motif(extra_entries=((SUP_RUN, 2),)),
+        ]
+    else:
+        stack = [tree1_motif()]
+        if termination and reliable is None:
+            stack.append(
+                short_circuit_motif(
+                    entry=("reduce", 2),
+                    sync_outputs={("eval", 4): 3},
+                )
             )
+        stack.append(rand_motif())
+    if reliable is not None:
+        stack.append(
+            reliable_motif(reliable.retries, reliable.timeout,
+                           reliable.backoff, reliable.max_timeout)
         )
-    stack.append(rand_motif())
     stack.append(server_motif(server_library))
     return ComposedMotif(stack)
+
+
+def tree_reduce_1_entry(
+    tree: Term,
+    value: Term,
+    termination: bool = True,
+    *,
+    reliable: Reliable | None = None,
+    supervise: Supervise | None = None,
+) -> Struct:
+    """The entry message (sent with ``create/2``) of the
+    :func:`tree_reduce_1` stack built with the same arguments."""
+    if supervise is not None:
+        return Struct(SUP_RUN, (tree, value))
+    if termination and reliable is None:
+        return Struct("boot", (tree, value, Var("Done")))
+    return Struct("reduce", (tree, value))
 
 
 def static_tree_motif() -> Motif:

@@ -31,7 +31,7 @@ monotone sequence number.
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable, Mapping
 
 from repro.errors import (
     DoubleAssignmentError,
@@ -49,7 +49,7 @@ from repro.strand.scheduler import DONE, Process, Scheduler
 from repro.strand.streams import PortRef
 from repro.strand.terms import Atom, Cons, NIL, Struct, Term, Var, deref, term_eq
 
-__all__ = ["Process", "ReliableState", "StrandEngine", "QueryResult", "run_query"]
+__all__ = ["Process", "StrandEngine", "QueryResult", "run_query"]
 
 
 def _msg_tag(msg: Term) -> str:
@@ -60,21 +60,6 @@ def _msg_tag(msg: Term) -> str:
     if type(msg) is Atom:
         return msg.name
     return type(msg).__name__.lower()
-
-
-class ReliableState:
-    """Per-engine bookkeeping for the Reliable motif's builtins.
-
-    ``next_seq`` assigns per-(sender processor, destination) sequence
-    numbers; ``seen`` is the receive-side dedup set of delivered
-    ``(sender, destination, seq)`` tokens; ``unreachable`` is the status
-    stream — one entry per destination the protocol gave up on, in
-    delivery order."""
-
-    def __init__(self):
-        self.next_seq: dict[tuple[int, int], int] = {}
-        self.seen: set[tuple[int, int, int]] = set()
-        self.unreachable: list[tuple[int, int, int]] = []
 
 
 class QueryResult:
@@ -156,6 +141,7 @@ class StrandEngine:
         indexing: bool = True,
         abandon_stragglers: bool = False,
         profile=None,
+        builtins: Mapping[tuple[str, int], Callable] | None = None,
     ):
         self.program = program
         self.machine = machine or Machine(1)
@@ -168,6 +154,9 @@ class StrandEngine:
         self.reduction_cost = reduction_cost
         self.abandon_stragglers = abandon_stragglers
         self.profile = profile
+        self.builtins = {**BUILTINS, **builtins} if builtins else BUILTINS
+        # Per-engine state of motif-owned builtins, keyed by motif name.
+        self.motif_state: dict[str, Any] = {}
         # Shard context when this engine runs inside a parallel-backend
         # worker (None in sequential operation and in the coordinating
         # parent).  Engine options are kept so the parallel backend can
@@ -182,6 +171,7 @@ class StrandEngine:
             reduction_cost=reduction_cost,
             indexing=indexing,
             abandon_stragglers=abandon_stragglers,
+            builtins=dict(builtins or {}),
         )
 
         self.compiled: CompiledProgram = compile_program(program, index=indexing)
@@ -191,7 +181,6 @@ class StrandEngine:
         )
 
         self.output: list[str] = []
-        self.rel_state = ReliableState()
         self.ports: list[PortRef] = []
         self._ports_closed = False
         self._quiesce_closes = 0
@@ -202,24 +191,29 @@ class StrandEngine:
     # ------------------------------------------------------------------
     def spawn(self, goal: Term, proc: int = 1, ready: float = 0.0,
               lib: bool | None = None, cause: int | None = None,
-              motif: str | None = None) -> Process:
+              motif: str | None = None,
+              indicator: tuple[str, int] | None = None) -> Process:
         """Add a process to the pool on processor ``proc`` (1-based).
 
         ``cause`` is the trace event id the spawn links back to (``None`` =
         current causal context); ``motif`` overrides provenance lookup (the
         reducer passes the spawning rule's tag for builtin continuations).
+        A caller that already holds the dereferenced ``Struct`` goal passes
+        its ``indicator``; it is kept on the process for every later use.
         """
-        goal = deref(goal)
-        if type(goal) is Atom:
-            goal = Struct(goal.name, ())
-        if type(goal) is not Struct:
-            raise StrandError(f"cannot spawn non-goal term {goal!r}")
-        indicator = goal.indicator
+        if indicator is None:
+            goal = deref(goal)
+            if type(goal) is Atom:
+                goal = Struct(goal.name, ())
+            if type(goal) is not Struct:
+                raise StrandError(f"cannot spawn non-goal term {goal!r}")
+            indicator = goal.indicator
         if lib is None:
             lib = indicator in self.library
         watched = indicator in self.watched
         scheduler = self.scheduler
-        process = Process(goal, proc, ready, scheduler.next_seq(), lib, watched)
+        process = Process(goal, indicator, proc, ready, scheduler.next_seq(),
+                          lib, watched)
         vp = self.machine.procs[proc - 1]
         vp.spawns += 1
         if watched:
@@ -271,7 +265,7 @@ class StrandEngine:
                 return None
         indicator_lib = None
         goal_d = deref(goal)
-        if type(goal_d) is Struct and goal_d.indicator in BUILTINS:
+        if type(goal_d) is Struct and goal_d.indicator in self.builtins:
             indicator_lib = lib
         return self.spawn(goal, dst, ready=now + latency, lib=indicator_lib,
                           cause=cause)
@@ -479,7 +473,7 @@ class StrandEngine:
         rather than reported as a deadlock."""
         if not self._ports_closed and self.auto_close_ports:
             releasable = self.abandon_stragglers or all(
-                process.goal.indicator in self.services
+                process.indicator in self.services
                 for process in self.scheduler.suspended.values()
             )
             if releasable:

@@ -149,6 +149,7 @@ class Program:
         state = self.__dict__.copy()
         state.pop("_symbol_cache", None)
         state.pop("_compiled_cache", None)
+        state.pop("_motif_memo", None)  # motif outputs derived from this program
         return state
 
     # -- construction -----------------------------------------------------

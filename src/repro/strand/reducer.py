@@ -19,7 +19,6 @@ from typing import Any
 
 from repro.errors import ProcessFailureError, StrandError, UnknownProcedureError
 from repro.strand.arith import Suspend
-from repro.strand.builtins import BUILTINS
 from repro.strand.compile import CompiledProgram
 from repro.strand.foreign import ForeignRegistry, NotGround, from_python, to_python
 from repro.strand.scheduler import DONE, Process
@@ -34,6 +33,8 @@ class Reducer:
     ``engine`` is the facade builtins and foreign procedures are handed
     (they call ``engine.bind`` / ``engine.spawn`` / port operations);
     the reducer itself only reads program structure and charges costs.
+    Builtins are looked up in the engine's own table (``engine.builtins``),
+    which holds the core builtins plus those the program's motifs bring.
     """
 
     def __init__(
@@ -45,6 +46,7 @@ class Reducer:
         reduction_cost: float = 1.0,
     ):
         self.engine = engine
+        self.builtins = engine.builtins
         self.compiled = compiled
         self.foreign = foreign
         self.reduction_cost = reduction_cost
@@ -59,15 +61,14 @@ class Reducer:
             # binds, sends, the reduce itself) link to the event that made
             # this process runnable.
             trace.cause = process.cause_evt
-        goal = deref(process.goal)
-        if type(goal) is Atom:
-            goal = Struct(goal.name, ())
-            process.goal = goal
-        indicator = goal.indicator
+        # ``spawn`` stored the goal dereferenced, as a Struct, together
+        # with its indicator.
+        goal = process.goal
+        indicator = process.indicator
         profile = engine.profile
         if profile is not None:
             profile.begin(process.motif, indicator)
-        builtin = BUILTINS.get(indicator)
+        builtin = self.builtins.get(indicator)
         try:
             if builtin is not None:
                 cost = builtin(engine, process, goal.args, now)
@@ -100,7 +101,7 @@ class Reducer:
         return cost
 
     def _reduce_user(self, process: Process, goal: Struct, now: float) -> float:
-        procedure = self.compiled.procedure(goal.indicator)
+        procedure = self.compiled.procedure(process.indicator)
         if procedure is None:
             raise UnknownProcedureError(
                 f"no procedure, builtin, or foreign function "
@@ -122,7 +123,7 @@ class Reducer:
             process.motif = rule_motif
             profile = self.engine.profile
             if profile is not None:
-                profile.begin(rule_motif, goal.indicator)
+                profile.begin(rule_motif, process.indicator)
         # Commit: spawn the body goals the rule function built.
         cost = self.reduction_cost
         done = now + cost
@@ -139,7 +140,7 @@ class Reducer:
                 f"body goal {inst_d!r} of {parent.describe()} is not callable"
             )
         indicator = inst_d.indicator
-        if indicator in BUILTINS:
+        if indicator in self.builtins:
             # Builtins inherit the spawning rule's accounting and provenance.
             lib: bool | None = parent.lib
             motif: str | None = parent.motif
@@ -150,7 +151,7 @@ class Reducer:
             lib = False
             motif = None
         self.engine.spawn(inst_d, parent.proc, ready=ready, lib=lib,
-                          motif=motif)
+                          motif=motif, indicator=indicator)
 
     def _call_foreign(self, fp, process: Process, goal: Struct, now: float) -> float:
         engine = self.engine

@@ -51,15 +51,17 @@ class Process:
     spawn, or the latest wake) — the causal context every event recorded
     during its reduction links back to.  ``motif`` is the provenance tag of
     the procedure the goal calls (``None`` for user code); both stay at
-    their defaults when observability is off.
+    their defaults when observability is off.  ``indicator`` is the goal's
+    ``(name, arity)``, built once when the process is spawned.
     """
 
-    __slots__ = ("goal", "proc", "ready", "state", "seq", "lib", "watched",
-                 "blocked_on", "cause_evt", "motif")
+    __slots__ = ("goal", "indicator", "proc", "ready", "state", "seq", "lib",
+                 "watched", "blocked_on", "cause_evt", "motif")
 
-    def __init__(self, goal: Struct, proc: int, ready: float, seq: int,
-                 lib: bool, watched: bool):
+    def __init__(self, goal: Struct, indicator: tuple[str, int], proc: int,
+                 ready: float, seq: int, lib: bool, watched: bool):
         self.goal = goal
+        self.indicator = indicator
         self.proc = proc
         self.ready = ready
         self.state = RUNNABLE

@@ -150,3 +150,70 @@ class TestCompose:
         a = Motif("a")
         b = Motif("b")
         assert (b @ a).name == "b ∘ a"
+
+
+def _noop_builtin(engine, process, args, now):
+    return 0.0
+
+
+class TestMotifBuiltins:
+    """``M = (T, L, B)``: a motif's builtins are gathered like its services
+    and found only by engines running a program the motif was applied to."""
+
+    def test_builtins_gather_through_composition(self):
+        inner = Motif("a", library="go :- ping_a.", builtins={("ping_a", 0): _noop_builtin})
+        outer = Motif("b", library="other :- ping_b.", builtins={("ping_b", 0): _noop_builtin})
+        applied = ComposedMotif([inner, outer]).apply(parse_program("", name="app"))
+        assert applied.builtins == {("ping_a", 0): _noop_builtin,
+                                    ("ping_b", 0): _noop_builtin}
+        # Forks own their table: extending one never reaches the memo.
+        applied.builtins[("extra", 0)] = _noop_builtin
+        again = ComposedMotif([inner, outer])
+        assert ("extra", 0) not in again.apply(parse_program("", name="app")).builtins
+
+    def test_builtin_may_not_shadow_a_core_builtin(self):
+        with pytest.raises(MotifError, match="shadow core builtins: after/2"):
+            Motif("bad", builtins={("after", 2): _noop_builtin})
+
+    def test_engine_table_is_core_table_without_motif_builtins(self):
+        from repro.core.api import run_applied
+        from repro.machine import Machine
+        from repro.strand.builtins import BUILTINS
+        from repro.strand.terms import Struct
+
+        plain = Motif("plain", library="go.").apply(parse_program("", name="app"))
+        engine, _ = run_applied(plain, Struct("go", ()), Machine(1))
+        assert engine.builtins is BUILTINS
+
+        owning = Motif("own", library="go :- ping.", builtins={("ping", 0): _noop_builtin})
+        engine, _ = run_applied(owning.apply(parse_program("", name="app")),
+                                Struct("go", ()), Machine(1))
+        assert engine.builtins is not BUILTINS
+        assert engine.builtins[("ping", 0)] is _noop_builtin
+        assert ("ping", 0) not in BUILTINS
+
+    def test_core_registers_no_reliable_or_supervise_builtins(self):
+        from repro.strand.builtins import BUILTINS
+
+        names = {name for name, _ in BUILTINS}
+        assert not {n for n in names if n.startswith(("rel_", "sup_"))}
+        assert {("call", 1), ("after", 2), ("soft_bind", 2)} <= set(BUILTINS)
+
+    def test_motif_primitive_unknown_without_its_motif(self):
+        from repro.errors import UnknownProcedureError
+        from repro.strand import run_query
+
+        program = parse_program("go(T) :- rel_seq(2, T).")
+        with pytest.raises(UnknownProcedureError, match="rel_seq/2"):
+            run_query(program, "go(T)")
+
+    def test_motif_state_is_per_engine(self):
+        from repro.apps.arithmetic import eval_arith_node, paper_example_tree
+        from repro.core.api import reliable_reduce_tree
+        from repro.motifs.reliable import rel_state
+
+        first = reliable_reduce_tree(paper_example_tree(), eval_arith_node)
+        second = reliable_reduce_tree(paper_example_tree(), eval_arith_node)
+        assert rel_state(first.engine) is not rel_state(second.engine)
+        assert rel_state(first.engine).seen == rel_state(second.engine).seen
+        assert len(rel_state(first.engine).seen) == first.metrics.rel_acks

@@ -107,13 +107,7 @@ class TestBoundedApiCaches:
     def test_stack_caches_are_bounded(self):
         from repro.core import api
 
-        for factory in (
-            api._tr1_stack,
-            api._tr2_stack,
-            api._static_stack,
-            api._sequential_stack,
-            api._supervised_stack,
-        ):
+        for factory in (api._stack,):
             assert factory.cache_info().maxsize == api._STACK_CACHE_SIZE
         assert (
             api._empty_application.cache_info().maxsize
@@ -126,12 +120,12 @@ class TestBoundedApiCaches:
 
         tree = paper_example_tree()
         api.reduce_tree(tree, eval_arith_node, processors=2, strategy="tr1")
-        stack_hits = api._tr1_stack.cache_info().hits
+        stack_hits = api._stack.cache_info().hits
         app_hits = api._empty_application.cache_info().hits
         apply_hits = MOTIF_STATS["apply_hits"]
         parses = MOTIF_STATS["library_parses"]
         api.reduce_tree(tree, eval_arith_node, processors=2, strategy="tr1")
-        assert api._tr1_stack.cache_info().hits == stack_hits + 1
+        assert api._stack.cache_info().hits == stack_hits + 1
         assert api._empty_application.cache_info().hits == app_hits + 1
         assert MOTIF_STATS["apply_hits"] == apply_hits + 1
         assert MOTIF_STATS["library_parses"] == parses
@@ -141,9 +135,54 @@ class TestBoundedApiCaches:
         from repro.apps.arithmetic import eval_arith_node, paper_example_tree
 
         tree = paper_example_tree()
-        api.supervised_reduce_tree(tree, eval_arith_node, processors=2)
-        stack_hits = api._supervised_stack.cache_info().hits
+        supervise = api.Supervise()
+        api.reduce_tree(tree, eval_arith_node, processors=2, supervise=supervise)
+        stack_hits = api._stack.cache_info().hits
         apply_hits = MOTIF_STATS["apply_hits"]
-        api.supervised_reduce_tree(tree, eval_arith_node, processors=2)
-        assert api._supervised_stack.cache_info().hits == stack_hits + 1
+        api.reduce_tree(tree, eval_arith_node, processors=2, supervise=supervise)
+        assert api._stack.cache_info().hits == stack_hits + 1
         assert MOTIF_STATS["apply_hits"] == apply_hits + 1
+
+
+class TestMemoLifetime:
+    """The application memo lives on the input, so a motif (or a cached
+    stack) never keeps a dropped application or its stage results alive."""
+
+    def test_dropped_application_is_freed(self, stack):
+        import gc
+        import weakref
+
+        from repro.strand.parser import parse_program
+
+        application = parse_program(EVAL_SOURCE, name="dropped")
+        applied = stack.apply(application)
+        app_ref = weakref.ref(application)
+        out_ref = weakref.ref(applied.program)
+        del application, applied
+        gc.collect()
+        assert app_ref() is None
+        assert out_ref() is None
+
+    def test_dropped_application_is_freed_after_reduce_tree(self):
+        import gc
+        import weakref
+
+        from repro.apps.arithmetic import paper_example_tree
+        from repro.core.api import reduce_tree
+        from repro.strand.parser import parse_program
+
+        application = parse_program(EVAL_SOURCE, name="dropped-run")
+        result = reduce_tree(paper_example_tree(), application)
+        assert result.value == 24
+        app_ref = weakref.ref(application)
+        del application, result
+        gc.collect()
+        assert app_ref() is None
+
+    def test_memo_is_not_pickled_with_the_program(self, stack):
+        import pickle
+
+        application, _ = as_application(EVAL_SOURCE)
+        stack.apply(application)
+        assert "_motif_memo" in vars(application)
+        assert "_motif_memo" not in vars(pickle.loads(pickle.dumps(application)))

@@ -4,7 +4,7 @@ gantt's truncation warning."""
 
 from repro.analysis.reporting import metrics_table
 from repro.apps.arithmetic import eval_arith_node, paper_example_tree
-from repro.core.api import reduce_tree, supervised_reduce_tree
+from repro.core.api import Supervise, reduce_tree
 from repro.machine import FaultPlan, Machine, Trace
 from repro.machine.gantt import render_gantt
 
@@ -12,8 +12,8 @@ from repro.machine.gantt import render_gantt
 def crash_run():
     machine = Machine(4, seed=11, trace=True,
                       faults=FaultPlan(crash={3: 25.0}))
-    result = supervised_reduce_tree(paper_example_tree(), eval_arith_node,
-                                    machine=machine)
+    result = reduce_tree(paper_example_tree(), eval_arith_node,
+                         supervise=Supervise(), machine=machine)
     return result.metrics, machine
 
 
@@ -36,8 +36,8 @@ class TestCounters:
     def test_summary_reports_migrations_and_timeouts(self):
         machine = Machine(4, seed=11,
                           faults=FaultPlan(crash={3: 25.0}, migrate=True))
-        result = supervised_reduce_tree(paper_example_tree(),
-                                        eval_arith_node, machine=machine)
+        result = reduce_tree(paper_example_tree(), eval_arith_node,
+                             supervise=Supervise(), machine=machine)
         text = result.metrics.summary()
         assert "migrated=" in text
         assert "timeouts=" in text

@@ -169,6 +169,26 @@ class TestUnsupportedLayers:
                       machine=Machine(2, backend="parallel", workers=2),
                       profile=MotifProfile())
 
+    @pytest.mark.parametrize("layer", ["supervise", "reliable"])
+    def test_timer_layers_raise_not_implemented(self, layer):
+        # Workers run ahead of cross-shard deliveries between barriers, so
+        # a virtual timer fires before the result it guards arrives: run
+        # anyway, the Supervise stack answers 0 instead of 24 here.
+        from repro.apps.arithmetic import EVAL_SOURCE, paper_example_tree
+        from repro.core.api import Reliable, Supervise, reduce_tree
+
+        layers = ({"supervise": Supervise()} if layer == "supervise"
+                  else {"reliable": Reliable()})
+        with pytest.raises(
+            NotImplementedError,
+            match=r"virtual timers \(after/2\) are not supported on the "
+                  r"parallel backend",
+        ):
+            reduce_tree(paper_example_tree(), EVAL_SOURCE,
+                        machine=Machine(4, seed=2, backend="parallel",
+                                        workers=2),
+                        **layers)
+
     def test_python_foreign_raises_not_implemented(self):
         # Python-callable evaluators register closures in the foreign
         # registry; closures cannot be shipped to worker processes.

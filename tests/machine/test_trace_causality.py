@@ -6,9 +6,9 @@ import pytest
 
 from repro.apps.arithmetic import eval_arith_node, paper_example_tree
 from repro.core.api import (
+    Supervise,
     reduce_tree,
     reliable_reduce_tree,
-    supervised_reduce_tree,
 )
 from repro.machine import FaultPlan, Machine, Partition, write_jsonl
 from repro.strand import parse_program, run_query
@@ -97,8 +97,8 @@ class TestUnderFaults:
     def test_crash_is_a_root_and_its_faults_link_to_it(self):
         machine = Machine(4, seed=11, trace=True,
                           faults=FaultPlan(crash={3: 25.0}))
-        result = supervised_reduce_tree(paper_example_tree(),
-                                        eval_arith_node, machine=machine)
+        result = reduce_tree(paper_example_tree(), eval_arith_node,
+                             supervise=Supervise(), machine=machine)
         assert result.value == 24
         (crash,) = machine.trace.of_kind("crash")
         assert crash.cause == 0
@@ -133,8 +133,8 @@ class TestUnderFaults:
     def test_migration_faults_link_to_the_crash(self):
         machine = Machine(4, seed=11, trace=True,
                           faults=FaultPlan(crash={3: 25.0}, migrate=True))
-        supervised_reduce_tree(paper_example_tree(), eval_arith_node,
-                               machine=machine)
+        reduce_tree(paper_example_tree(), eval_arith_node,
+                    supervise=Supervise(), machine=machine)
         (crash,) = machine.trace.of_kind("crash")
         migrations = [e for e in machine.trace.of_kind("fault")
                       if e.detail.startswith("migrate:")]
@@ -178,8 +178,8 @@ class TestDeterminism:
         def go():
             machine = Machine(4, seed=11, trace=True,
                               faults=FaultPlan(crash={3: 25.0}))
-            supervised_reduce_tree(paper_example_tree(), eval_arith_node,
-                                   machine=machine)
+            reduce_tree(paper_example_tree(), eval_arith_node,
+                        supervise=Supervise(), machine=machine)
             return machine.trace.format()
 
         assert go() == go()

@@ -5,10 +5,10 @@ replay of the extended failure model."""
 import pytest
 
 from repro.apps.arithmetic import arithmetic_tree, eval_arith_node
-from repro.core.api import reduce_tree, reliable_reduce_tree, supervised_reduce_tree
+from repro.core.api import Reliable, Supervise, reduce_tree, reliable_reduce_tree
 from repro.errors import DeadlockError, TransformError
 from repro.machine import FaultPlan, Machine, Partition
-from repro.motifs.reliable import ReliableTransformation, reliable_motif
+from repro.motifs.reliable import ReliableTransformation, rel_state, reliable_motif
 from repro.strand.parser import parse_program
 from repro.strand.terms import deref
 
@@ -153,16 +153,17 @@ class TestReliableDelivery:
         # re-dispatches the stranded attempts elsewhere.  The supervised
         # stack *without* Reliable deadlocks outright.
         plan = FaultPlan(drop_rate=0.2)
-        result = reliable_reduce_tree(
-            TREE, eval_arith_node, supervise=True, sup_timeout=400.0,
+        result = reduce_tree(
+            TREE, eval_arith_node, reliable=Reliable(),
+            supervise=Supervise(timeout=400.0),
             machine=Machine(4, seed=2, faults=plan),
         )
         assert result.value == EXPECTED
         assert result.metrics.rel_unreachable > 0
-        assert result.engine.rel_state.unreachable
+        assert rel_state(result.engine).unreachable
         with pytest.raises(DeadlockError):
-            supervised_reduce_tree(
-                TREE, eval_arith_node, timeout=400.0,
+            reduce_tree(
+                TREE, eval_arith_node, supervise=Supervise(timeout=400.0),
                 machine=Machine(4, seed=2, faults=plan),
             )
 
@@ -170,13 +171,14 @@ class TestReliableDelivery:
         # Processor 3 dies before the computation reaches it: the retry
         # budget exhausts and every rsend to it lands on the status stream
         # instead of hanging the sender.
-        result = reliable_reduce_tree(
-            TREE, eval_arith_node, supervise=True,
-            retries=2, timeout=20.0, sup_timeout=400.0,
+        result = reduce_tree(
+            TREE, eval_arith_node,
+            reliable=Reliable(retries=2, timeout=20.0),
+            supervise=Supervise(timeout=400.0),
             machine=Machine(4, seed=0, faults=FaultPlan(crash={3: 5.0})),
         )
         assert result.metrics.rel_unreachable > 0
-        unreachable_nodes = {node for _, node, _ in result.engine.rel_state.unreachable}
+        unreachable_nodes = {node for _, node, _ in rel_state(result.engine).unreachable}
         assert 3 in unreachable_nodes
 
 

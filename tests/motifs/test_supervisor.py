@@ -5,15 +5,15 @@ Server ∘ Rand ∘ Supervise ∘ Tree1′ stack under injected crashes."""
 import pytest
 
 from repro.apps.arithmetic import arithmetic_tree, eval_arith_node, paper_example_tree
-from repro.core.api import as_application, run_applied, supervised_reduce_tree
+from repro.core.api import Supervise, as_application, reduce_tree, run_applied
 from repro.errors import TransformError
 from repro.machine import FaultPlan, Machine
 from repro.motifs.supervisor import (
     SUPERVISE_SERVICES,
     SuperviseTransformation,
     supervise_motif,
-    supervised_tree_reduce,
 )
+from repro.motifs.tree_reduce1 import tree_reduce_1
 from repro.strand.parser import parse_program
 from repro.strand.terms import Struct, Var, deref
 
@@ -111,8 +111,9 @@ class TestStandaloneLocalSupervision:
 
 class TestSupervisedTreeReduce:
     def test_paper_example_fault_free(self):
-        result = supervised_reduce_tree(
-            paper_example_tree(), eval_arith_node, processors=4, seed=0
+        result = reduce_tree(
+            paper_example_tree(), eval_arith_node, supervise=Supervise(),
+            processors=4, seed=0
         )
         assert result.value == 24
         assert result.metrics.sup_retries == 0
@@ -120,11 +121,13 @@ class TestSupervisedTreeReduce:
 
     def test_crash_does_not_change_the_answer(self):
         tree = arithmetic_tree(32, seed=3)
-        baseline = supervised_reduce_tree(
-            tree, eval_arith_node, processors=4, seed=11
+        baseline = reduce_tree(
+            tree, eval_arith_node, supervise=Supervise(),
+            processors=4, seed=11
         )
         machine = Machine(4, seed=11, faults=FaultPlan(crash={3: 25.0}))
-        recovered = supervised_reduce_tree(tree, eval_arith_node, machine=machine)
+        recovered = reduce_tree(tree, eval_arith_node, supervise=Supervise(),
+                                machine=machine)
         assert recovered.value == baseline.value
         assert recovered.metrics.crashes == 1
         assert recovered.metrics.sup_retries > 0
@@ -139,16 +142,16 @@ class TestSupervisedTreeReduce:
         machine = Machine(
             4, seed=11, faults=FaultPlan(crash={2: 25.0, 3: 25.0})
         )
-        result = supervised_reduce_tree(
+        result = reduce_tree(
             tree, eval_arith_node, machine=machine,
-            retries=1, timeout=400.0,
+            supervise=Supervise(retries=1, timeout=400.0),
         )
         assert result.metrics.sup_degraded > 0
         assert result.metrics.sup_timeouts > 0
         assert result.metrics.crashes == 2
 
     def test_motif_stack_shape(self):
-        motif = supervised_tree_reduce()
+        motif = tree_reduce_1(supervise=Supervise())
         names = [m.name for m in motif.pipeline]
         assert names[0] == "tree1-sup"
         assert "supervise" in names

@@ -124,3 +124,56 @@ class TestSchedulingBehaviour:
                         strategy="tr1", seed=3).metrics
         assert a.busy == b.busy
         assert a.makespan == b.makespan
+
+
+class TestLayers:
+    """Reliable and Supervise are keyword layers of Tree-Reduce-1, each at
+    its one place in the stack."""
+
+    def _names(self, **layers):
+        return [m.name for m in tree_reduce_1(**layers).pipeline]
+
+    def test_stack_shapes(self):
+        from repro.motifs.reliable import Reliable
+        from repro.motifs.supervisor import Supervise
+
+        assert self._names(reliable=Reliable()) == [
+            "tree1", "rand", "reliable", "server[ports]"]
+        assert self._names(supervise=Supervise()) == [
+            "tree1-sup", "supervise", "rand", "server[ports]"]
+        assert self._names(reliable=Reliable(), supervise=Supervise()) == [
+            "tree1-sup", "supervise", "rand", "reliable", "server[ports]"]
+        # No termination stage under a layer, whatever ``termination`` says.
+        assert "termination" in self._names()
+        assert "termination" not in self._names(
+            reliable=Reliable(), termination=True)
+
+    def test_layers_need_tr1(self):
+        import pytest
+
+        from repro.errors import ReproError
+        from repro.motifs.reliable import Reliable
+
+        tree = arithmetic_tree(4, seed=1)
+        with pytest.raises(ReproError, match="strategy 'tr1' only"):
+            reduce_tree(tree, eval_arith_node, strategy="tr2", reliable=Reliable())
+
+    def test_reliable_parameters_are_checked(self):
+        import pytest
+
+        from repro.motifs.reliable import Reliable
+
+        with pytest.raises(ValueError, match="retries"):
+            Reliable(retries=-1)
+        with pytest.raises(ValueError, match="timeout"):
+            Reliable(timeout=50.0, max_timeout=10.0)
+
+    def test_registry_builds_layers_through_tree_reduce_1(self):
+        from repro.core.registry import default_registry, get_motif
+        from repro.motifs.supervisor import Supervise
+
+        motif = get_motif("tree-reduce-1", supervise=Supervise(retries=1))
+        assert motif.pipeline[0].name == "tree1-sup"
+        names = set(default_registry().names())
+        assert "reliable-tree-reduce" not in names
+        assert "supervised-tree-reduce" not in names

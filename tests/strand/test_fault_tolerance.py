@@ -146,7 +146,7 @@ class TestQuiescenceAfterCrash:
 
 class TestSameSeedReplay:
     def _run(self):
-        from repro.core.api import supervised_reduce_tree
+        from repro.core.api import Supervise, reduce_tree
         from repro.apps.arithmetic import arithmetic_tree, eval_arith_node
 
         # Crashes plus message *delays*: delays exercise the lossy RNG path
@@ -157,7 +157,8 @@ class TestSameSeedReplay:
             faults=FaultPlan(crash={3: 25.0}, delay_rate=0.05),
         )
         tree = arithmetic_tree(24, seed=3)
-        result = supervised_reduce_tree(tree, eval_arith_node, machine=machine)
+        result = reduce_tree(tree, eval_arith_node, supervise=Supervise(),
+                             machine=machine)
         return result, machine.trace.format(), result.metrics.summary()
 
     def test_identical_traces_and_metrics(self):
@@ -172,7 +173,7 @@ class TestSameSeedReplay:
     def test_different_seed_diverges(self):
         # Sanity check that the replay test has teeth: a different machine
         # seed re-draws placement and fault decisions.
-        from repro.core.api import supervised_reduce_tree
+        from repro.core.api import Supervise, reduce_tree
         from repro.apps.arithmetic import arithmetic_tree, eval_arith_node
 
         tree = arithmetic_tree(24, seed=3)
@@ -180,8 +181,8 @@ class TestSameSeedReplay:
         for seed in (11, 12):
             machine = Machine(4, seed=seed, trace=True,
                               faults=FaultPlan(crash={3: 25.0}))
-            result = supervised_reduce_tree(
-                tree, eval_arith_node, machine=machine
+            result = reduce_tree(
+                tree, eval_arith_node, supervise=Supervise(), machine=machine
             )
             runs.append((result.value, machine.trace.format()))
         assert runs[0][0] == runs[1][0]  # supervision keeps the answer
